@@ -31,15 +31,15 @@
 // throughput — the telemetry-subsystem acceptance gate.
 //
 // A sixth phase gates the compiled query path: the same preloaded,
-// published snapshot is queried three ways — through the engine with
-// compilation disabled (the piece-walk path, the pre-arena baseline whose
-// 1-thread number is the BENCH_PR4 queries_per_sec series), through the
-// engine with the CompiledSnapshot arena attached, and against a held
-// snapshot's arena directly (no registry lookup, the pure query-path
-// cost). Queries are timed in batches of 64 (per-query cost is below the
-// clock's own overhead) and the batch distribution yields the query p99.
-// The phase FAILS the run if the arena is not >= 5x the piece-walk
-// engine baseline — the PR-7 acceptance gate.
+// published snapshot is queried three ways — through PieceWalkReplica (a
+// bench-local, step-for-step copy of the engine's pre-arena string read
+// path, the baseline whose 1-thread number is the BENCH_PR4
+// queries_per_sec series), through the engine and its CompiledSnapshot
+// arena, and against a held snapshot's arena directly (no registry
+// lookup, the pure query-path cost). Queries are timed in batches of 64
+// (per-query cost is below the clock's own overhead) and the batch
+// distribution yields the query p99. The phase FAILS the run if the arena
+// is not >= 5x the piece-walk baseline — the PR-7 acceptance gate.
 //
 // A seventh phase gates the epoch-pinned reader fast path: the same
 // published snapshot queried by 1/2/4 reader threads through three
@@ -55,11 +55,16 @@
 // traffic at all). These are the PR-8 acceptance gates.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
+#include <memory>
+#include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -264,6 +269,75 @@ double MeasurePlannedQueries(const QueryPlan& plan,
   return static_cast<double>(batches * kBatch) / (total_ns / 1e9);
 }
 
+/// Baseline of the compiled-query gate: the engine's string-keyed read
+/// path as it was before every snapshot carried a compiled arena,
+/// replicated step for step — transparent registry find under a
+/// shared_mutex, acquire load of the key's atomic<shared_ptr> snapshot,
+/// the per-key query counter, the every-1024th latency sample, the
+/// model's piece walk, and the fallback-query counter. The engine itself
+/// reads only compiled arenas, so the gate's baseline lives here; the
+/// call stays out of line, like the library call it stands in for.
+class PieceWalkReplica {
+ public:
+  PieceWalkReplica(std::string_view key,
+                   const engine::EngineSnapshot& snapshot) {
+    auto entry = std::make_unique<Entry>();
+    entry->published.store(std::make_shared<const engine::VersionedModel>(
+        snapshot.model(), snapshot.epoch(), snapshot.watermark()));
+    registry_.emplace(std::string(key), std::move(entry));
+  }
+
+  [[gnu::noinline]] double EstimateRange(std::string_view key,
+                                         std::int64_t lo,
+                                         std::int64_t hi) const {
+    Entry* entry = nullptr;
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      const auto it = registry_.find(key);
+      if (it != registry_.end()) entry = it->second.get();
+    }
+    if (entry == nullptr) return 0.0;
+    const std::shared_ptr<const engine::VersionedModel> published =
+        entry->published.load(std::memory_order_acquire);
+    if (published == nullptr) return 0.0;
+    const std::uint64_t qn =
+        entry->queries.fetch_add(1, std::memory_order_release);
+    const bool sample = sample_latency_ && (qn & 1023u) == 0u;
+    const auto t0 = sample ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point();
+    const double result = published->model.EstimateRange(lo, hi);
+    if (sample) {
+      latency_ns_.Record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    }
+    entry->fallback_queries.fetch_add(1, std::memory_order_release);
+    return result;
+  }
+
+ private:
+  struct Entry {
+    std::atomic<std::shared_ptr<const engine::VersionedModel>> published;
+    std::atomic<std::uint64_t> queries{0};
+    std::atomic<std::uint64_t> fallback_queries{0};
+  };
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  mutable std::shared_mutex mu_;
+  std::unordered_map<std::string, std::unique_ptr<Entry>, StringHash,
+                     std::equal_to<>>
+      registry_;
+  const bool sample_latency_ = true;
+  mutable telemetry::LogHistogram latency_ns_{
+      telemetry::LogBucketer::PowersOfTwo()};
+};
+
 /// Runs `reader` (a per-thread functor returning its accumulated sink)
 /// on `threads` fresh threads, each issuing `queries_per_thread`
 /// estimates; returns aggregate queries per second. Threads are spawned
@@ -460,16 +534,10 @@ int main(int argc, char** argv) {
                  qps);
 
   // Compiled query path: the same published model queried through the
-  // piece walk (engine with compilation off — the pre-arena baseline) and
-  // through the CompiledSnapshot arena, engine-path and snapshot-held.
-  HistogramEngine walk_engine([&] {
-    EngineOptions o = sharded;
-    o.compile_snapshots = false;
-    return o;
-  }());
-  walk_engine.InsertBatch(kKey, values);
-  walk_engine.RefreshSnapshot(kKey);
+  // piece walk (PieceWalkReplica — the pre-arena baseline) and through
+  // the CompiledSnapshot arena, engine-path and snapshot-held.
   const engine::EngineSnapshot held = engine.Snapshot(kKey);
+  const PieceWalkReplica walk_path(kKey, held);
   const std::int64_t plan_queries = options.quick ? 512 * 1024 : 2'048 * 1024;
   const QueryPlan plan(plan_queries);
 
@@ -484,7 +552,7 @@ int main(int argc, char** argv) {
     const double walk = MeasurePlannedQueries(
         plan,
         [&](std::int64_t lo, std::int64_t hi) {
-          return walk_engine.EstimateRange(kKey, lo, hi);
+          return walk_path.EstimateRange(kKey, lo, hi);
         },
         &p99);
     if (walk > walk_qps) { walk_qps = walk; walk_p99 = p99; }

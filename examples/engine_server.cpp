@@ -320,10 +320,8 @@ int main(int argc, char** argv) {
               KsStatistic(truth, final_snapshot.model()));
 
   // A couple of optimizer questions against the final epoch, answered on
-  // the compiled arena when the publish attached one (bit-identical to the
-  // piece walk either way).
-  const SelectivityEstimator estimator(final_snapshot.model(),
-                                       final_snapshot.compiled());
+  // its compiled arena.
+  const SelectivityEstimator estimator(final_snapshot.compiled());
   const std::int64_t n = truth.TotalCount();
   std::printf("selectivity(A <= 100):      estimate %.4f   truth %.4f\n",
               estimator.SelectivityAtMost(100),

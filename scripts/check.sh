@@ -6,9 +6,10 @@
 # micro_engine_throughput exits nonzero if async publish stops cutting
 # boundary-op p99 latency >= 5x, if telemetry costs more than 5% of
 # ingest throughput, or if the compiled-snapshot query path drops below
-# 5x the piece-walk baseline; micro_dist_frames exits nonzero if
-# loopback frame ingest falls under 10k frames/sec or duplicate frames
-# cause any merges; micro_st_feedback exits nonzero if feedback-trained
+# 5x the bench's replica of the pre-arena piece-walk read path;
+# micro_dist_frames exits nonzero if loopback frame ingest falls under
+# 10k frames/sec or duplicate frames cause any merges;
+# micro_st_feedback exits nonzero if feedback-trained
 # accuracy falls under 2x the untrained equi-width baseline or the
 # 4-shard merged model drifts more than 10% from unmerged), and finally
 # the multi-process loopback smoke test

@@ -11,8 +11,7 @@ engine::EngineOptions GlobalViewDefaults() {
   engine::EngineOptions o;
   // Nothing flows through this engine's shards: the aggregator
   // publishes externally, so ingest cadence and async machinery are
-  // dead weight. Compilation stays on — the whole point is that global
-  // queries ride the arena fast path.
+  // dead weight.
   o.snapshot_every = 0;
   o.async_publish = false;
   o.merge_workers = 0;

@@ -56,8 +56,7 @@ class Aggregator {
 
     /// Options of the global-view engine. Defaults disable ingest-side
     /// cadence (the aggregator publishes externally; nothing flows
-    /// through shards) and keep snapshot compilation on so queries hit
-    /// the arena.
+    /// through shards).
     engine::EngineOptions engine;
 
     Options();

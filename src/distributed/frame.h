@@ -111,18 +111,16 @@ constexpr std::size_t FrameBytesFor(std::size_t key_len,
          kFrameTrailerBytes;
 }
 
-/// Encodes `model` under `header`. The payload arrays are exactly what
-/// CompiledSnapshot::Compile(model) would hold (same subtraction for
-/// widths, prefix masses accumulated in model order), so both overloads
-/// produce identical bytes for one model.
-std::string EncodeFrame(const FrameHeader& header,
-                        const HistogramModel& model);
-
-/// Encodes an already-compiled snapshot — the zero-copy path: the
-/// borders()/rows() arrays are written out as-is. An absent snapshot
-/// encodes as an empty (zero-piece, zero-mass) frame.
+/// Encodes an already-compiled snapshot under `header` — the zero-copy
+/// path: the borders()/rows() arrays are written out as-is. An absent
+/// snapshot encodes as an empty (zero-piece, zero-mass) frame.
 std::string EncodeFrame(const FrameHeader& header,
                         const CompiledSnapshot& snapshot);
+
+/// Encodes `model` by compiling it first; for callers that hold only a
+/// model. Byte-identical to encoding CompiledSnapshot::Compile(model).
+std::string EncodeFrame(const FrameHeader& header,
+                        const HistogramModel& model);
 
 /// Validates and decodes `bytes` into `*out`. On any error `*out` is
 /// left in an unspecified-but-valid state and the typed reason is

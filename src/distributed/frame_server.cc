@@ -249,16 +249,23 @@ void FrameServer::HandleMessage(Connection& conn,
       const auto hi = static_cast<std::int64_t>(
           GetU64(payload.data() + 5 + key_len + 8));
       // The per-connection handle cache: the first query for a key
-      // resolves it, every later one is registry-free.
+      // looks it up, every later one is registry-free. Lookups never
+      // create keys, so a peer cannot grow the registry, the handle
+      // cache, or the metric series by naming keys; an unknown key is
+      // answered 0.0 by the string path (counted in unknown_queries)
+      // and stays uncached, so a later frame creating it still resolves.
+      engine::HistogramEngine& global = aggregator_.engine();
       auto it = conn.handles.find(key);
       if (it == conn.handles.end()) {
-        it = conn.handles
-                 .emplace(std::string(key),
-                          aggregator_.engine().Resolve(key))
-                 .first;
+        if (const engine::KeyHandle handle = global.Find(key);
+            handle.valid()) {
+          it = conn.handles.emplace(std::string(key), handle).first;
+          handles_cached_.fetch_add(1);
+        }
       }
       const double estimate =
-          aggregator_.engine().EstimateRange(it->second, lo, hi);
+          it != conn.handles.end() ? global.EstimateRange(it->second, lo, hi)
+                                   : global.EstimateRange(key, lo, hi);
       std::string reply(1, wire::kReplyEstimate);
       PutU64(&reply, std::bit_cast<std::uint64_t>(estimate));
       net::AppendEnvelope(&conn.out, reply);

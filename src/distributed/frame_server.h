@@ -69,6 +69,10 @@ class FrameServer {
   }
   std::uint64_t protocol_errors() const { return protocol_errors_.load(); }
 
+  /// KeyHandles cached across all connections' per-connection maps since
+  /// Start(): one per (connection, existing key) first queried.
+  std::uint64_t handles_cached() const { return handles_cached_.load(); }
+
   /// The full exposition a metrics scrape ('M') returns: the
   /// aggregator's instruments followed by the global-view engine's
   /// (disjoint metric families, so the concatenation is valid
@@ -114,6 +118,7 @@ class FrameServer {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<std::uint64_t> handles_cached_{0};
 };
 
 }  // namespace dynhist::distributed

@@ -22,10 +22,7 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
     header.key = key;
     header.epoch = snap.epoch();
     header.watermark = snap.watermark();
-    // Encode from the model rather than the compiled arena so shipping
-    // works when the site publishes with compilation off; for compiled
-    // snapshots the two encodings are byte-identical anyway.
-    const std::string frame = EncodeFrame(header, snap.model());
+    const std::string frame = EncodeFrame(header, snap.compiled());
     if (last < snap.epoch()) last = snap.epoch();
     ++frames_shipped_;
     bytes_shipped_ += frame.size();

@@ -32,7 +32,6 @@
 #include "src/histogram/dynamic_vopt.h"    // IWYU pragma: export
 #include "src/histogram/histogram.h"       // IWYU pragma: export
 #include "src/histogram/model.h"           // IWYU pragma: export
-#include "src/histogram/serialize.h"       // IWYU pragma: export
 #include "src/histogram/ssbm.h"            // IWYU pragma: export
 #include "src/histogram/st_feedback.h"     // IWYU pragma: export
 #include "src/histogram/static_compressed.h"       // IWYU pragma: export

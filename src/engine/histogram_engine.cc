@@ -68,9 +68,7 @@ internal::KeyState::KeyState(std::string key_name,
       kind(options.kind),
       snapshot_every(options.snapshot_every),
       merged_buckets(options.merged_buckets),
-      legacy_reduce(options.use_legacy_cell_reduce),
-      async_publish(options.async_publish),
-      compile_snapshots(options.compile_snapshots) {
+      async_publish(options.async_publish) {
   shards.reserve(static_cast<std::size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
     shards.push_back(
@@ -203,9 +201,6 @@ void HistogramEngine::RegisterKeyMetrics(KeyState& state) {
           "RecordFeedback() observations accepted", c.feedbacks);
   counter("dynhist_key_queries_total", "Snapshot/estimate reads served",
           c.queries);
-  counter("dynhist_key_fallback_queries_total",
-          "Estimate reads that walked model pieces (no compiled arena)",
-          c.fallback_queries);
   counter("dynhist_key_snapshot_lease_hits_total",
           "Handle-path lease revalidations served from the thread-local "
           "cache (no shared_ptr traffic)",
@@ -373,9 +368,7 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
       double estimate = 0.0;
       if (const std::shared_ptr<const VersionedModel> published =
               state.published.load(std::memory_order_acquire)) {
-        estimate = published->compiled.attached()
-                       ? published->compiled.EstimateRange(lo, hi)
-                       : published->model.EstimateRange(lo, hi);
+        estimate = published->compiled.EstimateRange(lo, hi);
       }
       hist->Record(static_cast<std::uint64_t>(
           std::llround(std::fabs(estimate - actual))));
@@ -476,19 +469,13 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
   std::unique_lock<std::mutex> publish_lock(state.publish_mu);
   const std::uint64_t start_ns = trace_.NowNs();
 
-  CompiledSnapshot compiled;
-  if (state.compile_snapshots.load(std::memory_order_relaxed)) {
-    compiled = CompiledSnapshot::Compile(model);
-  }
-
   // The publish tail of Publish(), minus the flush/merge head: same
   // epoch/version ordering contract, same counters, so externally fed
   // keys are indistinguishable to readers, leases, and telemetry.
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   auto versioned = std::make_shared<const VersionedModel>(
-      VersionedModel{std::move(model), epoch, watermark,
-                     std::move(compiled)});
+      std::move(model), epoch, watermark);
   state.published.store(versioned, std::memory_order_release);
   state.version.fetch_add(1, std::memory_order_release);
   state.counters.publishes.fetch_add(1, std::memory_order_release);
@@ -511,16 +498,6 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
                                       std::int64_t hi) const {
-  return EstimateImpl(key, lo, hi);
-}
-
-double HistogramEngine::EstimateEquals(std::string_view key,
-                                       std::int64_t v) const {
-  return EstimateImpl(key, v, v);
-}
-
-double HistogramEngine::EstimateImpl(std::string_view key, std::int64_t lo,
-                                     std::int64_t hi) const {
   // Thin wrapper: the one transparent registry find, then the shared
   // estimate body on a per-call shared_ptr acquisition (no lease — see
   // the header on why transient string lookups stay off the TLS cache).
@@ -532,6 +509,11 @@ double HistogramEngine::EstimateImpl(std::string_view key, std::int64_t lo,
   const std::shared_ptr<const VersionedModel> published =
       state->published.load(std::memory_order_acquire);
   return EstimateOnState(*state, published.get(), lo, hi);
+}
+
+double HistogramEngine::EstimateEquals(std::string_view key,
+                                       std::int64_t v) const {
+  return EstimateRange(key, v, v);
 }
 
 double HistogramEngine::EstimateOnState(KeyState& state,
@@ -547,18 +529,13 @@ double HistogramEngine::EstimateOnState(KeyState& state,
   }
   const std::uint64_t qn =
       state.counters.queries.fetch_add(1, std::memory_order_release);
-  const bool compiled = vm->compiled.attached();
   // Sampling every 1024th query keeps the latency histogram's two clock
   // reads off the hot path; qn is the pre-increment count, so a key's
   // first query is always sampled and the series is never empty.
   const bool sample = telemetry_on_ && (qn & 1023u) == 0u;
   const std::uint64_t t0 = sample ? trace_.NowNs() : 0;
-  const double result = compiled ? vm->compiled.EstimateRange(lo, hi)
-                                 : vm->model.EstimateRange(lo, hi);
+  const double result = vm->compiled.EstimateRange(lo, hi);
   if (sample) query_latency_hist_->Record(trace_.NowNs() - t0);
-  if (!compiled) {
-    state.counters.fallback_queries.fetch_add(1, std::memory_order_release);
-  }
   return result;
 }
 
@@ -570,6 +547,10 @@ void HistogramEngine::CountLease(KeyState& state, bool hit) const {
 
 KeyHandle HistogramEngine::Resolve(std::string_view key) {
   return KeyHandle(FindOrCreateKey(key));
+}
+
+KeyHandle HistogramEngine::Find(std::string_view key) const {
+  return KeyHandle(FindKey(key));
 }
 
 double HistogramEngine::EstimateRange(const KeyHandle& handle,
@@ -606,21 +587,13 @@ void HistogramEngine::EstimateRangeBatch(const KeyHandle& handle,
     std::fill(results, results + count, 0.0);
     return;
   }
-  // One counter settle for the span; the loop body is the raw arena (or
-  // piece-walk) lookup — per-query cost converges to the arena's as the
-  // batch grows. Answers are bit-identical to the scalar path: same
-  // expressions, same snapshot.
+  // One counter settle for the span; the loop body is the raw arena
+  // lookup — per-query cost converges to the arena's as the batch grows.
+  // Answers are bit-identical to the scalar path: same expressions, same
+  // snapshot.
   state.counters.queries.fetch_add(count, std::memory_order_release);
-  if (vm->compiled.attached()) {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
-    }
-  } else {
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = vm->model.EstimateRange(queries[i].lo, queries[i].hi);
-    }
-    state.counters.fallback_queries.fetch_add(count,
-                                              std::memory_order_release);
+  for (std::size_t i = 0; i < count; ++i) {
+    results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
   }
 }
 
@@ -661,8 +634,6 @@ void HistogramEngine::AccumulateStats(const KeyState& state,
   stats->deletes += c.deletes.load(std::memory_order_acquire);
   stats->feedbacks += c.feedbacks.load(std::memory_order_acquire);
   stats->queries += c.queries.load(std::memory_order_acquire);
-  stats->fallback_queries +=
-      c.fallback_queries.load(std::memory_order_acquire);
   stats->lease_hits += c.lease_hits.load(std::memory_order_acquire);
   stats->lease_misses += c.lease_misses.load(std::memory_order_acquire);
   stats->publishes += c.publishes.load(std::memory_order_acquire);
@@ -698,12 +669,8 @@ EngineStats HistogramEngine::Stats() const {
 }
 
 EngineStats HistogramEngine::Stats(std::string_view key) const {
-  EngineStats stats;
-  const KeyState* state = FindKey(key);
-  if (state == nullptr) return stats;
-  stats.keys = 1;
-  AccumulateStats(*state, &stats);
-  return stats;
+  const KeyHandle handle = Find(key);
+  return handle.valid() ? Stats(handle) : EngineStats{};
 }
 
 EngineStats HistogramEngine::Stats(const KeyHandle& handle) const {
@@ -736,9 +703,6 @@ telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
   add("dynhist_engine_queries_total",
       "Snapshot/estimate reads served (unknown keys included)",
       MetricKind::kCounter, stats.queries);
-  add("dynhist_engine_fallback_queries_total",
-      "Estimate reads that walked model pieces (no compiled arena)",
-      MetricKind::kCounter, stats.fallback_queries);
   add("dynhist_engine_unknown_queries_total",
       "Estimate reads answered without a snapshot (unknown key, or known "
       "key never published)",
@@ -1017,46 +981,28 @@ void HistogramEngine::SetKeyOptions(const KeyHandle& handle,
     state->merged_buckets.store(*o.merged_buckets,
                                 std::memory_order_relaxed);
   }
-  if (o.use_legacy_cell_reduce) {
-    state->legacy_reduce.store(*o.use_legacy_cell_reduce,
-                               std::memory_order_relaxed);
-  }
   if (o.async_publish) {
     state->async_publish.store(*o.async_publish, std::memory_order_relaxed);
   }
-  if (o.compile_snapshots) {
-    state->compile_snapshots.store(*o.compile_snapshots,
-                                   std::memory_order_relaxed);
-  }
+}
+
+EngineOptions HistogramEngine::EffectiveOptions(std::string_view key) const {
+  const KeyHandle handle = Find(key);
+  return handle.valid() ? EffectiveOptions(handle) : options_;
 }
 
 EngineOptions HistogramEngine::EffectiveOptions(
     const KeyHandle& handle) const {
   DH_CHECK(handle.valid());
-  return EffectiveOptionsOf(*handle.state_);
-}
-
-EngineOptions HistogramEngine::EffectiveOptions(std::string_view key) const {
-  const KeyState* state = FindKey(key);
-  if (state == nullptr) return options_;
-  return EffectiveOptionsOf(*state);
-}
-
-EngineOptions HistogramEngine::EffectiveOptionsOf(
-    const KeyState& st) const {
+  const KeyState* state = handle.state_;
   EngineOptions effective = options_;
-  const KeyState* state = &st;
   effective.kind = state->kind;
   effective.snapshot_every =
       state->snapshot_every.load(std::memory_order_relaxed);
   effective.merged_buckets =
       state->merged_buckets.load(std::memory_order_relaxed);
-  effective.use_legacy_cell_reduce =
-      state->legacy_reduce.load(std::memory_order_relaxed);
   effective.async_publish =
       state->async_publish.load(std::memory_order_relaxed);
-  effective.compile_snapshots =
-      state->compile_snapshots.load(std::memory_order_relaxed);
   return effective;
 }
 
@@ -1087,25 +1033,17 @@ EngineSnapshot HistogramEngine::Publish(
 
   HistogramModel merged = state.merger.MergeAndReduce(
       models, state.merged_buckets.load(std::memory_order_relaxed),
-      state.legacy_reduce.load(std::memory_order_relaxed)
-          ? distributed::ReduceMode::kCells
-          : distributed::ReduceMode::kPieces);
+      distributed::ReduceMode::kPieces);
   const std::uint64_t merged_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
-  // Compile the flat query arena before the model is moved into the
-  // shared state. O(pieces) — a few microseconds against the ~120 us
-  // merge above — so the publish-latency envelope is unchanged.
-  CompiledSnapshot compiled;
-  if (state.compile_snapshots.load(std::memory_order_relaxed)) {
-    compiled = CompiledSnapshot::Compile(merged);
-  }
-
+  // The VersionedModel compiles the flat query arena: O(pieces) — a few
+  // microseconds against the ~120 us merge above — so the
+  // publish-latency envelope is unchanged.
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   auto versioned = std::make_shared<const VersionedModel>(
-      VersionedModel{std::move(merged), epoch, watermark,
-                     std::move(compiled)});
+      std::move(merged), epoch, watermark);
   state.published.store(versioned, std::memory_order_release);
   // Lease validation stamp, bumped strictly AFTER the pointer swap: a
   // reader that acquire-loads the new version is guaranteed to observe

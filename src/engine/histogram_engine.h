@@ -96,12 +96,10 @@ struct EngineStats {
   std::uint64_t deletes = 0;     ///< Delete() calls accepted
   std::uint64_t feedbacks = 0;   ///< RecordFeedback() calls accepted
   std::uint64_t queries = 0;     ///< estimate / snapshot reads served
-  std::uint64_t fallback_queries = 0;  ///< estimate reads that walked model
-                                       ///< pieces because the published
-                                       ///< snapshot had no compiled arena
-                                       ///< (compile_snapshots off); the
-                                       ///< compiled-path share is
-                                       ///< queries - fallback_queries
+  /// Always 0: every published snapshot carries its compiled arena, so
+  /// no estimate read walks model pieces. Kept so existing consumers of
+  /// the stats (and of ToJson's field set) keep working.
+  std::uint64_t fallback_queries = 0;
   /// Estimate reads answered without a snapshot: the key was unknown OR
   /// known but never published. Both take the same fallback path (return
   /// 0.0, the empty epoch-0 view) and both count here — and in `queries`
@@ -271,10 +269,8 @@ class HistogramEngine {
   std::size_t BufferedOps(std::string_view key) const;
 
   /// Estimated tuples under `key` with lo <= A <= hi / with A = v, read
-  /// from the last published snapshot. Lock-free and allocation-free:
-  /// routed through the snapshot's compiled prefix-CDF arena when one was
-  /// built at publish time (EngineOptions::compile_snapshots, default),
-  /// through the piece-walk model otherwise — answers are bit-identical.
+  /// from the last published snapshot's compiled prefix-CDF arena.
+  /// Lock-free and allocation-free.
   ///
   /// These string-keyed reads are thin wrappers: one transparent
   /// registry find (shared lock), then the same estimate body the handle
@@ -296,6 +292,11 @@ class HistogramEngine {
   /// engine's lifetime — it is the object a long-lived reader (or, in
   /// the distributed tier, a server connection) holds per key.
   KeyHandle Resolve(std::string_view key);
+
+  /// Resolves `key` without creating it: an invalid handle when the key
+  /// does not exist. The lookup for callers that must not grow the
+  /// registry, such as a server answering queries from the network.
+  KeyHandle Find(std::string_view key) const;
 
   /// Estimates through a resolved handle: one relaxed version load
   /// revalidates this thread's snapshot lease, then the arena lookup —
@@ -393,20 +394,12 @@ class HistogramEngine {
   static std::size_t ShardIndexFor(const KeyState& state, std::int64_t value);
   EngineShard& ShardFor(KeyState& state, std::int64_t value) const;
 
-  // Shared body of EstimateRange/EstimateEquals (equality is the
-  // single-value range): one lock-free published-model load, routed
-  // through the compiled arena when attached, fallback queries counted,
-  // and every 1024th query of a key latency-sampled into
-  // query_latency_hist_ (batch-granularity discipline: the other 1023
-  // pay no clock read).
-  double EstimateImpl(std::string_view key, std::int64_t lo,
-                      std::int64_t hi) const;
-
-  // The estimate tail every entry point (string, handle, batch) funnels
+  // The estimate tail the scalar entry points (string, handle) funnel
   // into: counts the query against `state`, unifies the no-snapshot
   // fallback (vm == nullptr counts in unknown_queries_, exactly like an
-  // unknown key), routes through the arena or the piece walk, and
-  // samples latency. `vm` is whatever the caller's acquisition strategy
+  // unknown key), reads the arena, and latency-samples every 1024th
+  // query of a key into query_latency_hist_ (the other 1023 pay no
+  // clock read). `vm` is whatever the caller's acquisition strategy
   // produced — a freshly acquired shared_ptr (string path) or the
   // thread's lease (handle path).
   double EstimateOnState(KeyState& state, const VersionedModel* vm,
@@ -414,10 +407,6 @@ class HistogramEngine {
 
   // Settles the lease hit/miss counters for one revalidation of `state`.
   void CountLease(KeyState& state, bool hit) const;
-
-  // Global options overlaid with `state`'s per-key atomics — the shared
-  // body of both EffectiveOptions overloads.
-  EngineOptions EffectiveOptionsOf(const KeyState& state) const;
 
   // Pushes one op, bumps the key's update count, and runs the publish
   // cadence; returns the key's state so the caller can settle the

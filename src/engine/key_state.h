@@ -34,7 +34,6 @@ struct KeyCounters {
   std::atomic<std::uint64_t> deletes{0};
   std::atomic<std::uint64_t> feedbacks{0};
   std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> fallback_queries{0};
   std::atomic<std::uint64_t> lease_hits{0};
   std::atomic<std::uint64_t> lease_misses{0};
   std::atomic<std::uint64_t> publishes{0};
@@ -90,9 +89,7 @@ struct KeyState {
   // SetKeyOptions stores concurrently.
   std::atomic<std::int64_t> snapshot_every;
   std::atomic<std::int64_t> merged_buckets;
-  std::atomic<bool> legacy_reduce;
   std::atomic<bool> async_publish;
-  std::atomic<bool> compile_snapshots;
 
   // Async publish state: `publish_pending` is true while a request for
   // this key sits in the queue — further cadence trips coalesce into it

@@ -1,20 +1,18 @@
 // Immutable engine snapshots: the read side of the concurrent engine.
 //
-// A snapshot is a HistogramModel plus the epoch at which it was published
-// — and, when the engine compiled it (EngineOptions::compile_snapshots,
-// the default), the model's CompiledSnapshot arena: contiguous border /
-// prefix-CDF arrays that answer EstimateRange with two branch-free
-// lower_bound lookups instead of a piece-list walk. The engine publishes
-// snapshots by atomically swapping a shared_ptr, so a reader's
+// A snapshot is a HistogramModel, the epoch at which it was published,
+// and the model's CompiledSnapshot arena: contiguous border / prefix-CDF
+// arrays that answer EstimateRange with two branch-free lower_bound
+// lookups. Every snapshot carries its arena — the implicit epoch-0 empty
+// view included — so the arena is the one read path; the model stays
+// for consumers that need pieces (merging, KS scoring). The engine
+// publishes snapshots by atomically swapping a shared_ptr, so a reader's
 // EngineSnapshot is a stable view: it stays valid and unchanged for as
 // long as the reader holds it, no matter how many updates or newer
 // publications happen concurrently.
 //
-// Estimation here touches no locks and allocates nothing on either path:
-// compiled queries read the arena, and the fallback (compilation off, or
-// the implicit epoch-0 empty snapshot) calls the model's estimators
-// directly — there is no per-call estimator object to construct. The two
-// paths are bit-identical by the CompiledSnapshot parity contract.
+// Estimation here touches no locks and allocates nothing: queries read
+// the arena directly, with no per-call estimator object to construct.
 
 #ifndef DYNHIST_ENGINE_SNAPSHOT_H_
 #define DYNHIST_ENGINE_SNAPSHOT_H_
@@ -28,9 +26,18 @@
 
 namespace dynhist::engine {
 
-/// A published model together with its publication epoch. Epoch 0 is the
-/// implicit empty snapshot a key has before its first publication.
+/// A published model together with its publication epoch and its
+/// compiled arena. Epoch 0 is the implicit empty snapshot a key has
+/// before its first publication.
 struct VersionedModel {
+  /// Compiles `m` into `compiled`: a VersionedModel cannot exist without
+  /// its arena, so readers never branch on whether one is attached.
+  VersionedModel(HistogramModel m, std::uint64_t e, std::uint64_t w)
+      : model(std::move(m)),
+        epoch(e),
+        watermark(w),
+        compiled(CompiledSnapshot::Compile(model)) {}
+
   HistogramModel model;
   std::uint64_t epoch = 0;
 
@@ -41,19 +48,27 @@ struct VersionedModel {
   /// one publication whose watermark is the newest of them.
   std::uint64_t watermark = 0;
 
-  /// The model compiled to its flat prefix-CDF arena at publish time.
-  /// Absent (attached() == false) when the publishing engine had
-  /// compile_snapshots off and for the implicit epoch-0 snapshot;
-  /// queries then walk the model's pieces.
+  /// `model` compiled to its flat prefix-CDF arena; answers are
+  /// bit-identical to the model's by the CompiledSnapshot parity
+  /// contract.
   CompiledSnapshot compiled;
 };
+
+/// The epoch-0 view every unknown or never-published key reads: one
+/// process-wide empty model and arena, so handing it out allocates
+/// nothing.
+inline const std::shared_ptr<const VersionedModel>& EmptyVersionedModel() {
+  static const std::shared_ptr<const VersionedModel> empty =
+      std::make_shared<const VersionedModel>(HistogramModel(), 0, 0);
+  return empty;
+}
 
 /// Shared, immutable view of one key's histogram at a publication epoch.
 /// Cheap to copy (one shared_ptr); safe to use from any thread.
 class EngineSnapshot {
  public:
   /// An empty epoch-0 snapshot (zero mass everywhere).
-  EngineSnapshot() : state_(std::make_shared<const VersionedModel>()) {}
+  EngineSnapshot() : state_(EmptyVersionedModel()) {}
 
   explicit EngineSnapshot(std::shared_ptr<const VersionedModel> state)
       : state_(std::move(state)) {}
@@ -67,22 +82,17 @@ class EngineSnapshot {
   /// The underlying immutable model.
   const HistogramModel& model() const { return state_->model; }
 
-  /// The flat query arena compiled at publish time, or nullptr when this
-  /// snapshot was published without compilation (or is the empty epoch-0
-  /// view). Exposed for the parity tests and as the distributed tier's
-  /// zero-copy wire payload.
-  const CompiledSnapshot* compiled() const {
-    return state_->compiled.attached() ? &state_->compiled : nullptr;
-  }
+  /// The flat query arena compiled at publish time (empty for the
+  /// epoch-0 view). Exposed for the parity tests and as the distributed
+  /// tier's zero-copy wire payload.
+  const CompiledSnapshot& compiled() const { return state_->compiled; }
 
   /// Total mass the snapshot believes the key holds.
   double TotalCount() const { return state_->model.TotalCount(); }
 
   /// Estimated number of tuples with lo <= A <= hi.
   double EstimateRange(std::int64_t lo, std::int64_t hi) const {
-    const VersionedModel& s = *state_;
-    return s.compiled.attached() ? s.compiled.EstimateRange(lo, hi)
-                                 : s.model.EstimateRange(lo, hi);
+    return state_->compiled.EstimateRange(lo, hi);
   }
 
   /// Estimated number of tuples with A = v.

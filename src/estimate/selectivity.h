@@ -12,10 +12,10 @@
 // HistogramModel (piece-walk binary search) or a CompiledSnapshot (the
 // flat prefix-CDF arena built at publish time; branch-free lower_bound).
 // Construct from whichever you hold — answers are bit-identical by the
-// CompiledSnapshot parity contract — or from both, in which case the
-// compiled arena serves every query. Single-threaded users can compile
-// any model once (CompiledSnapshot::Compile) and point the estimator at
-// it to get the engine's fast query path without an engine.
+// CompiledSnapshot parity contract. An engine snapshot always carries
+// its arena, so wrap EngineSnapshot::compiled(); single-threaded users
+// can compile any model once (CompiledSnapshot::Compile) to get the
+// engine's fast query path without an engine.
 
 #ifndef DYNHIST_ESTIMATE_SELECTIVITY_H_
 #define DYNHIST_ESTIMATE_SELECTIVITY_H_
@@ -29,26 +29,17 @@
 namespace dynhist {
 
 /// Selectivity estimates against one histogram snapshot. The estimator
-/// borrows its backend(s); it must not outlive them.
+/// borrows its backend; it must not outlive it.
 class SelectivityEstimator {
  public:
   explicit SelectivityEstimator(const HistogramModel& model)
       : model_(&model), compiled_(nullptr) {}
 
-  /// Compiled-only backend; `compiled` must be attached.
+  /// Arena backend; `compiled` must be attached.
   explicit SelectivityEstimator(const CompiledSnapshot& compiled)
       : model_(nullptr), compiled_(&compiled) {
     DH_CHECK(compiled.attached());
   }
-
-  /// Both views of one snapshot: queries run on the compiled arena when
-  /// it is attached, on the model otherwise. This is the form the engine
-  /// snapshot wraps.
-  SelectivityEstimator(const HistogramModel& model,
-                       const CompiledSnapshot* compiled)
-      : model_(&model),
-        compiled_(compiled != nullptr && compiled->attached() ? compiled
-                                                              : nullptr) {}
 
   /// True when queries run on the flat arena rather than the piece walk.
   bool compiled() const { return compiled_ != nullptr; }
@@ -104,7 +95,7 @@ class SelectivityEstimator {
     return total > 0.0 ? cardinality / total : 0.0;
   }
 
-  const HistogramModel* model_;        // null in compiled-only form
+  const HistogramModel* model_;        // null in arena form
   const CompiledSnapshot* compiled_;   // null => piece-walk backend
 };
 

@@ -77,9 +77,8 @@ bool SimdActive();
 }  // namespace compiled_internal
 
 /// The flat, immutable, query-optimized form of one HistogramModel.
-/// Default-constructed instances are "absent" (attached() == false) — the
-/// state of a snapshot published with compilation disabled; an absent
-/// arena answers 0 everywhere, so callers route on attached().
+/// Default-constructed instances are "absent" (attached() == false) and
+/// answer 0 everywhere; Compile() always yields an attached arena.
 class CompiledSnapshot {
  public:
   /// One piece's payload row plus the running prefix mass. 32 bytes; the

@@ -343,5 +343,50 @@ TEST_F(LoopbackTest, SecondClientSharesTheGlobalView) {
   EXPECT_EQ(server_.connections_accepted(), 2u);
 }
 
+// Query messages name keys off the network: an unknown key must answer
+// 0.0 without creating a key, a cached handle, or per-key metric series
+// (a peer must not be able to grow the server by naming keys). A key a
+// later frame creates then resolves normally.
+TEST_F(LoopbackTest, UnknownKeyQueriesCreateNothing) {
+  const engine::HistogramEngine& global = server_.aggregator().engine();
+  const auto lines = [](const std::string& text) {
+    return std::count(text.begin(), text.end(), '\n');
+  };
+  std::string before;
+  ASSERT_TRUE(client_.FetchMetrics(&before));
+  const std::uint64_t keys_before = global.Stats().keys;
+
+  constexpr int kJunk = 1'000;
+  for (int i = 0; i < kJunk; ++i) {
+    double estimate = -1.0;
+    ASSERT_TRUE(
+        client_.Query("junk." + std::to_string(i), 0, 100, &estimate));
+    EXPECT_EQ(estimate, 0.0);
+  }
+  std::string after;
+  ASSERT_TRUE(client_.FetchMetrics(&after));
+  EXPECT_EQ(global.Stats().keys, keys_before);
+  EXPECT_EQ(global.Stats().unknown_queries,
+            static_cast<std::uint64_t>(kJunk));
+  EXPECT_EQ(server_.handles_cached(), 0u);
+  EXPECT_EQ(lines(after), lines(before));  // no new series
+
+  FrameHeader header;
+  header.site_id = 1;
+  header.key = "junk.7";
+  header.epoch = 1;
+  header.watermark = 1;
+  Aggregator::IngestResult result = Aggregator::IngestResult::kRejected;
+  ASSERT_TRUE(client_.ShipFrame(
+      EncodeFrame(header,
+                  HistogramModel::FromSimpleBuckets({{0.0, 10.0, 30.0}})),
+      &result));
+  ASSERT_EQ(result, Aggregator::IngestResult::kApplied);
+  double estimate = 0.0;
+  ASSERT_TRUE(client_.Query("junk.7", 0, 9, &estimate));
+  EXPECT_EQ(estimate, 30.0);
+  EXPECT_EQ(server_.handles_cached(), 1u);
+}
+
 }  // namespace
 }  // namespace dynhist::distributed

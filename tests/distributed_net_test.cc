@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,14 +177,14 @@ TEST(NetTest, WriteAllSurvivesSignalStorm) {
   const std::string payload = PatternPayload(kSize);
 
   std::atomic<bool> writer_done{false};
-  pthread_t writer_thread{};
+  std::promise<pthread_t> writer_id;
   std::atomic<bool> writer_ok{false};
   std::thread writer([&] {
-    writer_thread = ::pthread_self();
+    writer_id.set_value(::pthread_self());
     writer_ok.store(WriteAll(sp.a, payload));
     writer_done.store(true);
   });
-  while (writer_thread == pthread_t{}) usleep(100);
+  const pthread_t writer_thread = writer_id.get_future().get();
 
   std::string got;
   char chunk[1024];

@@ -166,22 +166,22 @@ TEST(EngineHandleTest, EvictionUnderManyKeysStaysCorrectAndBounded) {
                 internal::kLeaseSlots);
 }
 
-// Batch answers are exactly what the scalar calls return — same lease,
-// same expressions — on both the compiled-arena and piece-walk paths,
-// and batch counter settling is per span, not per query.
-TEST(EngineHandleTest, BatchParityWithScalarQueries) {
-  for (const bool compile : {true, false}) {
+// One read path: every engine read is answered by the published arena,
+// bit-identical to the model it was compiled from. Per backend, the
+// oracle is snapshot.model().EstimateRange, and string, handle, batch,
+// leased, held-snapshot, epoch-0 and externally published reads must all
+// equal it exactly. Batch counters settle once per span, not per query.
+TEST(EngineHandleTest, EveryReadPathMatchesThePublishedModel) {
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo,
+        ShardHistogramKind::kStFeedback}) {
+    SCOPED_TRACE(static_cast<int>(kind));
     EngineOptions options = TestOptions();
-    options.compile_snapshots = compile;
+    options.kind = kind;
     HistogramEngine engine(options);
-    Rng rng(21);
-    for (int i = 0; i < 20'000; ++i) {
-      engine.Insert(kKey, static_cast<std::int64_t>(
-                              rng.UniformInt(0, kDomain - 1)));
-    }
-    engine.RefreshSnapshot(kKey);
     const KeyHandle h = engine.Resolve(kKey);
-
+    Rng rng(21);
     std::vector<RangeQuery> queries;
     for (int q = 0; q < 256; ++q) {
       const auto lo =
@@ -189,20 +189,60 @@ TEST(EngineHandleTest, BatchParityWithScalarQueries) {
       queries.push_back(
           {lo, std::min<std::int64_t>(kDomain - 1, lo + 200)});
     }
-    const std::vector<double> batch = engine.EstimateRangeBatch(h, queries);
-    ASSERT_EQ(batch.size(), queries.size());
-    const EngineStats after_batch = engine.Stats(h);
-    EXPECT_EQ(after_batch.queries, 256u);
-    EXPECT_EQ(after_batch.fallback_queries, compile ? 0u : 256u);
 
+    // Epoch 0: the shared empty view answers 0 everywhere, on every path.
+    const EngineSnapshot empty = engine.Snapshot(kKey);
+    ASSERT_EQ(empty.epoch(), 0u);
+    EXPECT_EQ(empty.compiled().NumPieces(), 0u);
+    for (const RangeQuery& q : queries) {
+      const double oracle = empty.model().EstimateRange(q.lo, q.hi);
+      EXPECT_EQ(engine.EstimateRange(kKey, q.lo, q.hi), oracle);
+      EXPECT_EQ(engine.EstimateRange(h, q.lo, q.hi), oracle);
+      EXPECT_EQ(empty.EstimateRange(q.lo, q.hi), oracle);
+    }
+
+    for (int i = 0; i < 20'000; ++i) {
+      engine.Insert(kKey, static_cast<std::int64_t>(
+                              rng.UniformInt(0, kDomain - 1)));
+    }
+    for (int i = 0; i < 200; ++i) {  // trains STF; no-op elsewhere
+      const auto lo =
+          static_cast<std::int64_t>(rng.UniformInt(0, kDomain - 1));
+      const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + 50);
+      engine.RecordFeedback(h, lo, hi,
+                            static_cast<double>(rng.UniformInt(0, 2'000)));
+    }
+    const EngineSnapshot snap = engine.RefreshSnapshot(kKey);
+    ASSERT_GT(snap.TotalCount(), 0.0);
+    const EngineSnapshot leased = engine.LeasedSnapshot(h);
+    ASSERT_EQ(leased.epoch(), snap.epoch());
+    engine.PublishExternal("ext", snap.model());
+    const KeyHandle ext = engine.Resolve("ext");
+
+    const EngineStats before = engine.Stats(h);
+    const std::vector<double> batch = engine.EstimateRangeBatch(h, queries);
+    EXPECT_EQ(engine.Stats(h).queries, before.queries + queries.size());
+    const std::vector<double> ext_batch =
+        engine.EstimateRangeBatch(ext, queries);
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(batch[q],
-                engine.EstimateRange(h, queries[q].lo, queries[q].hi))
-          << "query " << q << " compile=" << compile;
+      const auto [lo, hi] = queries[q];
+      const double oracle = snap.model().EstimateRange(lo, hi);
+      EXPECT_EQ(engine.EstimateRange(kKey, lo, hi), oracle) << q;
+      EXPECT_EQ(engine.EstimateRange(h, lo, hi), oracle) << q;
+      EXPECT_EQ(batch[q], oracle) << q;
+      EXPECT_EQ(snap.EstimateRange(lo, hi), oracle) << q;
+      EXPECT_EQ(leased.EstimateRange(lo, hi), oracle) << q;
+      EXPECT_EQ(engine.EstimateRange("ext", lo, hi), oracle) << q;
+      EXPECT_EQ(ext_batch[q], oracle) << q;
+      const double point = snap.model().EstimateRange(lo, lo);
+      EXPECT_EQ(engine.EstimateEquals(kKey, lo), point) << q;
+      EXPECT_EQ(engine.EstimateEquals(h, lo), point) << q;
     }
     // Empty span: no lease touch, no counters.
+    const std::uint64_t settled = engine.Stats(h).queries;
     engine.EstimateRangeBatch(h, nullptr, 0, nullptr);
-    EXPECT_EQ(engine.Stats(h).queries, 512u);
+    EXPECT_EQ(engine.Stats(h).queries, settled);
+    EXPECT_EQ(engine.Stats().fallback_queries, 0u);
   }
 }
 

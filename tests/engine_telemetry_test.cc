@@ -91,8 +91,6 @@ TEST(EngineTelemetryTest, PerKeyStatsSumToGlobalUnderConcurrency) {
             static_cast<std::uint64_t>(kWriters) * kOpsPerWriter);
   EXPECT_EQ(global.deletes, hot.deletes + cold.deletes);
   EXPECT_EQ(global.queries, hot.queries + cold.queries);
-  EXPECT_EQ(global.fallback_queries,
-            hot.fallback_queries + cold.fallback_queries);
   EXPECT_EQ(global.publishes, hot.publishes + cold.publishes);
   EXPECT_EQ(global.async_publishes,
             hot.async_publishes + cold.async_publishes);
@@ -264,32 +262,6 @@ TEST(EngineTelemetryTest, QueryLatencyIsSampledEveryKth) {
   // those at query numbers 0, 1024, 2048, 3072.
   EXPECT_EQ(MetricValue(text, "dynhist_query_latency_ns_count"), 4.0);
   EXPECT_GT(MetricValue(text, "dynhist_query_latency_ns_sum"), 0.0);
-}
-
-TEST(EngineTelemetryTest, FallbackQueriesExposedPerKeyAndGlobally) {
-  EngineOptions options = ManualOptions();
-  options.compile_snapshots = false;
-  HistogramEngine engine(options);
-  for (int i = 0; i < 16; ++i) engine.Insert("walk", i);
-  engine.RefreshSnapshot("walk");
-  for (int q = 0; q < 7; ++q) engine.EstimateEquals("walk", 3);
-
-  const std::string text = Prometheus(engine);
-  EXPECT_NE(text.find("dynhist_key_fallback_queries_total{key=\"walk\"} 7"),
-            std::string::npos);
-  EXPECT_EQ(MetricValue(text, "dynhist_engine_fallback_queries_total"), 7.0);
-  EXPECT_NE(engine.Stats("walk").ToJson().find("\"fallback_queries\":7"),
-            std::string::npos);
-
-  // Flip compilation on for the key: the next publication serves from the
-  // arena and the fallback counter freezes.
-  KeyOptionOverrides o;
-  o.compile_snapshots = true;
-  engine.SetKeyOptions("walk", o);
-  engine.RefreshSnapshot("walk");
-  for (int q = 0; q < 5; ++q) engine.EstimateEquals("walk", 3);
-  EXPECT_EQ(engine.Stats("walk").fallback_queries, 7u);
-  EXPECT_EQ(engine.Stats("walk").queries, 12u);
 }
 
 TEST(EngineTelemetryTest, DisabledTelemetrySkipsQueryLatencySampling) {

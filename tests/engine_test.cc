@@ -164,28 +164,6 @@ TEST(HistogramEngineTest, CoalescedBatchesConserveMassAndQuality) {
   EXPECT_LE(ks_a, ks_b + 0.05);
 }
 
-TEST(HistogramEngineTest, LegacyCellReduceMatchesPiecesReduce) {
-  // DC shard models have integer-aligned borders, where cell
-  // rasterization is exact and the two reduction flavors must coincide.
-  // (DVO/DADO sub-bucket fragments can have fractional borders the cell
-  // grid cannot represent; see merge_pipeline_test for that comparison.)
-  const auto values = ZipfValues(20'000, 13);
-  EngineOptions pieces = TestOptions();
-  pieces.kind = ShardHistogramKind::kDynamicCompressed;
-  EngineOptions cells = pieces;
-  cells.use_legacy_cell_reduce = true;
-  HistogramEngine a(pieces);
-  HistogramEngine b(cells);
-  a.InsertBatch(kKey, values);
-  b.InsertBatch(kKey, values);
-  const EngineSnapshot sa = a.RefreshSnapshot(kKey);
-  const EngineSnapshot sb = b.RefreshSnapshot(kKey);
-  EXPECT_NEAR(sa.TotalCount(), sb.TotalCount(), 1e-6);
-  // Same shard contents, so the two reduction flavors must land on models
-  // of (near) identical shape.
-  EXPECT_LT(KsBetweenModels(sa.model(), sb.model()), 1e-9);
-}
-
 TEST(HistogramEngineTest, DynamicCompressedKindWorks) {
   EngineOptions options = TestOptions();
   options.kind = ShardHistogramKind::kDynamicCompressed;
@@ -305,62 +283,23 @@ TEST(HistogramEngineTest, BackgroundThreadPublishesWithoutManualRefresh) {
 }
 
 TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
-  HistogramEngine engine(TestOptions());  // compile_snapshots defaults on
-  EXPECT_EQ(engine.Snapshot(kKey).compiled(), nullptr);  // epoch-0: absent
+  HistogramEngine engine(TestOptions());
+  const EngineSnapshot empty = engine.Snapshot(kKey);  // epoch 0
+  EXPECT_TRUE(empty.compiled().attached());
+  EXPECT_EQ(empty.compiled().NumPieces(), 0u);
   for (const std::int64_t v : ZipfValues(5'000, 21)) engine.Insert(kKey, v);
   const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
-  const CompiledSnapshot* compiled = snapshot.compiled();
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->NumPieces(), snapshot.model().pieces().size());
-  EXPECT_EQ(compiled->TotalCount(), snapshot.model().TotalCount());
-  // Bit-exact parity between the snapshot's two query paths.
+  const CompiledSnapshot& compiled = snapshot.compiled();
+  EXPECT_EQ(compiled.NumPieces(), snapshot.model().pieces().size());
+  EXPECT_EQ(compiled.TotalCount(), snapshot.model().TotalCount());
+  // Bit-exact parity between the arena and the model it was compiled from.
   for (std::int64_t lo = 0; lo < kDomain; lo += 37) {
     const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + 113);
-    EXPECT_EQ(compiled->EstimateRange(lo, hi),
+    EXPECT_EQ(compiled.EstimateRange(lo, hi),
               snapshot.model().EstimateRange(lo, hi));
     EXPECT_EQ(snapshot.EstimateRange(lo, hi),
               snapshot.model().EstimateRange(lo, hi));
   }
-}
-
-TEST(HistogramEngineTest, CompilationOffFallsBackToPieceWalkWithParity) {
-  EngineOptions off = TestOptions();
-  off.compile_snapshots = false;
-  HistogramEngine walk(off);
-  HistogramEngine fast(TestOptions());
-  for (const std::int64_t v : ZipfValues(5'000, 22)) {
-    walk.Insert(kKey, v);
-    fast.Insert(kKey, v);
-  }
-  const EngineSnapshot walk_snap = walk.RefreshSnapshot(kKey);
-  const EngineSnapshot fast_snap = fast.RefreshSnapshot(kKey);
-  EXPECT_EQ(walk_snap.compiled(), nullptr);
-  ASSERT_NE(fast_snap.compiled(), nullptr);
-  ASSERT_TRUE(
-      testing::ModelsBitIdentical(walk_snap.model(), fast_snap.model()));
-  for (std::int64_t lo = 0; lo < kDomain; lo += 41) {
-    const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + 250);
-    EXPECT_EQ(walk.EstimateRange(kKey, lo, hi),
-              fast.EstimateRange(kKey, lo, hi));
-  }
-  // The piece-walk engine counted its queries as fallbacks; the compiled
-  // engine served every one from the arena.
-  EXPECT_GT(walk.Stats(kKey).fallback_queries, 0u);
-  EXPECT_EQ(walk.Stats(kKey).fallback_queries, walk.Stats(kKey).queries);
-  EXPECT_EQ(fast.Stats(kKey).fallback_queries, 0u);
-}
-
-TEST(HistogramEngineTest, PerKeyCompileOverrideTakesEffectNextPublish) {
-  HistogramEngine engine(TestOptions());
-  KeyOptionOverrides o;
-  o.compile_snapshots = false;
-  engine.SetKeyOptions(kKey, o);
-  EXPECT_FALSE(engine.EffectiveOptions(kKey).compile_snapshots);
-  for (const std::int64_t v : ZipfValues(2'000, 23)) engine.Insert(kKey, v);
-  EXPECT_EQ(engine.RefreshSnapshot(kKey).compiled(), nullptr);
-  o.compile_snapshots = true;
-  engine.SetKeyOptions(kKey, o);
-  EXPECT_NE(engine.RefreshSnapshot(kKey).compiled(), nullptr);
 }
 
 TEST(HistogramEngineTest, CompiledQueriesSeePublishedEpochsLockFree) {
@@ -391,9 +330,6 @@ TEST(HistogramEngineTest, CompiledQueriesSeePublishedEpochsLockFree) {
         const EngineSnapshot snap = engine.Snapshot(kKey);
         if (snap.epoch() < last_epoch) ok.store(false);
         last_epoch = snap.epoch();
-        if (snap.epoch() > 0 && snap.compiled() == nullptr) {
-          ok.store(false);  // every publication must carry its arena
-        }
         const std::int64_t lo = rng.UniformInt(0, kDomain - 1);
         const std::int64_t hi =
             std::min<std::int64_t>(kDomain - 1, lo + 200);
@@ -409,11 +345,8 @@ TEST(HistogramEngineTest, CompiledQueriesSeePublishedEpochsLockFree) {
   for (auto& t : readers) t.join();
   EXPECT_TRUE(ok.load());
   EXPECT_GT(reads.load(), 0u);
-  // With compilation on, none of those estimate reads fell back.
-  EXPECT_EQ(engine.Stats(kKey).fallback_queries, 0u);
   const EngineSnapshot final_snap = engine.RefreshSnapshot(kKey);
-  ASSERT_NE(final_snap.compiled(), nullptr);
-  EXPECT_EQ(final_snap.compiled()->TotalCount(),
+  EXPECT_EQ(final_snap.compiled().TotalCount(),
             final_snap.model().TotalCount());
 }
 
@@ -441,7 +374,7 @@ TEST(HistogramEngineTest, PublishExternalServesTheGivenModel) {
       engine.PublishExternal("ext.key", model, /*watermark=*/77);
   EXPECT_EQ(published.epoch(), 1u);
   EXPECT_EQ(published.watermark(), 77u);
-  ASSERT_NE(published.compiled(), nullptr);
+  EXPECT_EQ(published.compiled().NumPieces(), model.NumPieces());
 
   const EngineSnapshot read_back = engine.Snapshot("ext.key");
   EXPECT_EQ(read_back.epoch(), 1u);

@@ -18,11 +18,14 @@
 
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
+#include "src/data/frequency_vector.h"
 #include "src/distributed/frame.h"
 #include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/dynamic_compressed.h"
+#include "src/histogram/dynamic_vopt.h"
 #include "src/histogram/histogram.h"
 #include "src/histogram/model.h"
+#include "src/metrics/ks.h"
 
 namespace dynhist::distributed {
 namespace {
@@ -104,6 +107,31 @@ TEST(FrameCodecTest, ModelAndCompiledOverloadsAgreeByteForByte) {
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   EXPECT_EQ(EncodeFrame(TestHeader(), model),
             EncodeFrame(TestHeader(), compiled));
+}
+
+// A persisted snapshot is a frame: a live DADO model (sub-bucket
+// fragments, fractional borders) reloads piece for piece and estimates
+// identically.
+TEST(FrameCodecTest, RoundTripsLiveDadoSnapshot) {
+  DynamicVOptHistogram h({.buckets = 32,
+                          .policy = DeviationPolicy::kAbsolute});
+  FrequencyVector truth(1'000);
+  Rng rng(5);
+  for (int i = 0; i < 20'000; ++i) {
+    const auto v = rng.UniformInt(0, 999);
+    h.Insert(v);
+    truth.Insert(v);
+  }
+  const HistogramModel model = h.Model();
+  DecodedFrame decoded;
+  ASSERT_EQ(DecodeFrame(EncodeFrame(TestHeader(), model), &decoded),
+            FrameError::kOk);
+  const HistogramModel reloaded = decoded.ToModel();
+  ASSERT_EQ(reloaded.NumPieces(), model.NumPieces());
+  for (std::size_t i = 0; i < model.NumPieces(); ++i) {
+    EXPECT_EQ(reloaded.pieces()[i], model.pieces()[i]) << "piece " << i;
+  }
+  EXPECT_DOUBLE_EQ(KsStatistic(truth, model), KsStatistic(truth, reloaded));
 }
 
 TEST(FrameCodecTest, EmptyModelRoundTrips) {
