@@ -23,9 +23,14 @@ BUILD_DIR="${1:-build}"
 # The server's readers route through the compiled-arena estimate path, so
 # the dump must carry the query-side series: the sampled latency
 # distribution and the query counter. Their absence means the query
-# telemetry regressed even if the format self-check passed.
+# telemetry regressed even if the format self-check passed. The per-key
+# series come from the engine's scrape-time collector, not from registry
+# entries: one per-key counter and the per-key feedback-error histogram
+# must appear too, so a collector that dropped per-key output fails.
 for series in dynhist_query_latency_ns_count \
-              dynhist_engine_queries_total; do
+              dynhist_engine_queries_total \
+              'dynhist_key_queries_total{' \
+              'dynhist_key_feedback_abs_error_count{'; do
   if ! grep -q "^$series" METRICS_PR5.prom; then
     echo "metrics_dump: FAIL — series '$series' missing from exposition" >&2
     exit 1

@@ -37,7 +37,6 @@
 #include "src/histogram/static_compressed.h"       // IWYU pragma: export
 #include "src/histogram/static_equi.h"     // IWYU pragma: export
 #include "src/histogram/static_voptimal.h"         // IWYU pragma: export
-#include "src/histogram2d/dynamic_grid.h"  // IWYU pragma: export
 #include "src/cluster/birch1d.h"           // IWYU pragma: export
 #include "src/distributed/aggregator.h"    // IWYU pragma: export
 #include "src/distributed/frame.h"         // IWYU pragma: export

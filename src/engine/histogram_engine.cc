@@ -1,9 +1,8 @@
 #include "src/engine/histogram_engine.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -37,28 +36,144 @@ void BumpMax(std::atomic<std::uint64_t>& cell, std::uint64_t value) {
   }
 }
 
+using internal::KeyCounters;
+using telemetry::MetricKind;
+
+// The engine's counter table: one row per EngineStats field, in ToJson
+// order. Stats() accumulation, ToJson, and the engine-wide and per-key
+// exposition are all loops over it.
+struct CounterRow {
+  const char* field;  // EngineStats field name, as ToJson spells it
+  std::uint64_t EngineStats::*stat;
+  // The per-key cell Stats() accumulates; null for the fields the engine
+  // fills itself (key count, unknown-key reads, epoch sum).
+  std::atomic<std::uint64_t> KeyCounters::*cell;
+  bool combine_max;           // global = max over keys (else the sum)
+  MetricKind kind;            // of both series
+  const char* engine_series;  // null: not exposed engine-wide
+  const char* key_series;     // null: no per-key series
+  const char* help;
+};
+
+constexpr MetricKind kCounter = MetricKind::kCounter;
+constexpr MetricKind kGauge = MetricKind::kGauge;
+
+constexpr CounterRow kCounterTable[] = {
+    {"keys", &EngineStats::keys, nullptr, false, kGauge,
+     "dynhist_engine_keys", nullptr, "Registered histogram keys"},
+    {"inserts", &EngineStats::inserts, &KeyCounters::inserts, false,
+     kCounter, "dynhist_engine_inserts_total", "dynhist_key_inserts_total",
+     "Insert() calls accepted"},
+    {"deletes", &EngineStats::deletes, &KeyCounters::deletes, false,
+     kCounter, "dynhist_engine_deletes_total", "dynhist_key_deletes_total",
+     "Delete() calls accepted"},
+    {"feedbacks", &EngineStats::feedbacks, &KeyCounters::feedbacks, false,
+     kCounter, "dynhist_engine_feedbacks_total",
+     "dynhist_key_feedbacks_total", "RecordFeedback() observations accepted"},
+    {"queries", &EngineStats::queries, &KeyCounters::queries, false,
+     kCounter, "dynhist_engine_queries_total", "dynhist_key_queries_total",
+     "Snapshot/estimate reads served (engine-wide: unknown keys included)"},
+    {"fallback_queries", &EngineStats::fallback_queries, nullptr, false,
+     kCounter, nullptr, nullptr, nullptr},
+    {"unknown_queries", &EngineStats::unknown_queries, nullptr, false,
+     kCounter, "dynhist_engine_unknown_queries_total", nullptr,
+     "Estimate reads answered without a snapshot (unknown key, or known "
+     "key never published)"},
+    {"lease_hits", &EngineStats::lease_hits, &KeyCounters::lease_hits, false,
+     kCounter, "dynhist_snapshot_lease_hits_total",
+     "dynhist_key_snapshot_lease_hits_total",
+     "Handle-path lease revalidations served from the thread-local cache "
+     "(no shared_ptr traffic)"},
+    {"lease_misses", &EngineStats::lease_misses, &KeyCounters::lease_misses,
+     false, kCounter, "dynhist_snapshot_lease_misses_total",
+     "dynhist_key_snapshot_lease_misses_total",
+     "Handle-path lease revalidations that re-acquired the published "
+     "snapshot (version moved, cold slot, or evicted)"},
+    {"publishes", &EngineStats::publishes, &KeyCounters::publishes, false,
+     kCounter, "dynhist_engine_publishes_total",
+     "dynhist_key_publishes_total", "Snapshot publications"},
+    {"async_publishes", &EngineStats::async_publishes,
+     &KeyCounters::async_publishes, false, kCounter,
+     "dynhist_engine_async_publishes_total",
+     "dynhist_key_async_publishes_total",
+     "Publications run off the publish queue"},
+    {"publish_queued", &EngineStats::publish_queued,
+     &KeyCounters::publish_queued, false, kCounter,
+     "dynhist_engine_publish_queued_total",
+     "dynhist_key_publish_queued_total",
+     "Publish requests accepted onto the queue"},
+    {"publish_coalesced", &EngineStats::publish_coalesced,
+     &KeyCounters::publish_coalesced, false, kCounter,
+     "dynhist_engine_publish_coalesced_total",
+     "dynhist_key_publish_coalesced_total",
+     "Cadence trips absorbed by an already-pending request"},
+    {"publish_rejected", &EngineStats::publish_rejected,
+     &KeyCounters::publish_rejected, false, kCounter,
+     "dynhist_engine_publish_rejected_total",
+     "dynhist_key_publish_rejected_total",
+     "Publish requests dropped because the queue was full"},
+    {"publish_skipped", &EngineStats::publish_skipped,
+     &KeyCounters::publish_skipped, false, kCounter,
+     "dynhist_engine_publish_skipped_total",
+     "dynhist_key_publish_skipped_total",
+     "Drained requests elided because a newer publication covered them"},
+    {"publish_nanos", &EngineStats::publish_nanos,
+     &KeyCounters::publish_nanos, false, kCounter,
+     "dynhist_engine_publish_nanos_total", "dynhist_key_publish_nanos_total",
+     "Total nanoseconds spent publishing"},
+    {"max_publish_nanos", &EngineStats::max_publish_nanos,
+     &KeyCounters::max_publish_nanos, true, kGauge,
+     "dynhist_engine_max_publish_nanos", nullptr,
+     "Slowest single publication, ns"},
+    {"queue_wait_nanos", &EngineStats::queue_wait_nanos,
+     &KeyCounters::queue_wait_nanos, false, kCounter,
+     "dynhist_engine_queue_wait_nanos_total",
+     "dynhist_key_queue_wait_nanos_total",
+     "Total nanoseconds publish requests sat queued"},
+    {"snapshot_epoch", &EngineStats::snapshot_epoch, nullptr, false, kGauge,
+     "dynhist_engine_snapshot_epochs", nullptr,
+     "Sum of per-key published epochs (equals publishes at sync points)"},
+};
+
+// A per-key series reads its row's per-key cell.
+static_assert(std::ranges::all_of(kCounterTable, [](const CounterRow& row) {
+  return row.key_series == nullptr || row.cell != nullptr;
+}));
+
+// Adds `state`'s counters into `*stats` per the table (sums, max for
+// max_publish_nanos), plus its epoch into snapshot_epoch.
+void AccumulateStats(const internal::KeyState& state, EngineStats* stats) {
+  // Acquire loads pair with the release increments (see the EngineStats
+  // contract): observing a count implies observing the work it counts.
+  for (const CounterRow& row : kCounterTable) {
+    if (row.cell == nullptr) continue;
+    const std::uint64_t value =
+        (state.counters.*row.cell).load(std::memory_order_acquire);
+    std::uint64_t& total = stats->*row.stat;
+    total = row.combine_max ? std::max(total, value) : total + value;
+  }
+  stats->snapshot_epoch += state.epoch.load(std::memory_order_acquire);
+}
+
+std::size_t BufferedOpsOf(const internal::KeyState& state) {
+  std::size_t buffered = 0;
+  for (const auto& shard : state.shards) buffered += shard->BufferedOps();
+  return buffered;
+}
+
 }  // namespace
 
 std::string EngineStats::ToJson() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"keys\":%" PRIu64 ",\"inserts\":%" PRIu64 ",\"deletes\":%" PRIu64
-      ",\"feedbacks\":%" PRIu64
-      ",\"queries\":%" PRIu64 ",\"fallback_queries\":%" PRIu64
-      ",\"unknown_queries\":%" PRIu64 ",\"lease_hits\":%" PRIu64
-      ",\"lease_misses\":%" PRIu64 ",\"publishes\":%" PRIu64
-      ",\"async_publishes\":%" PRIu64 ",\"publish_queued\":%" PRIu64
-      ",\"publish_coalesced\":%" PRIu64 ",\"publish_rejected\":%" PRIu64
-      ",\"publish_skipped\":%" PRIu64 ",\"publish_nanos\":%" PRIu64
-      ",\"max_publish_nanos\":%" PRIu64 ",\"queue_wait_nanos\":%" PRIu64
-      ",\"snapshot_epoch\":%" PRIu64 "}",
-      keys, inserts, deletes, feedbacks, queries, fallback_queries,
-      unknown_queries,
-      lease_hits, lease_misses, publishes, async_publishes, publish_queued,
-      publish_coalesced, publish_rejected, publish_skipped, publish_nanos,
-      max_publish_nanos, queue_wait_nanos, snapshot_epoch);
-  return buf;
+  std::string json = "{";
+  for (const CounterRow& row : kCounterTable) {
+    if (json.size() > 1) json.push_back(',');
+    json.push_back('"');
+    json.append(row.field);
+    json.append("\":");
+    json.append(std::to_string(this->*row.stat));
+  }
+  json.push_back('}');
+  return json;
 }
 
 internal::KeyState::KeyState(std::string key_name,
@@ -159,141 +274,25 @@ HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
 HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
     std::string_view key, std::optional<ShardHistogramKind> backend) {
   if (KeyState* state = FindKey(key)) return state;
-  KeyState* created = nullptr;
-  KeyState* state = nullptr;
-  {
-    std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    auto [it, inserted] = registry_.try_emplace(std::string(key), nullptr);
-    if (inserted) {
-      EngineOptions creation_options = options_;
-      if (backend) creation_options.kind = *backend;
-      it->second = std::make_unique<KeyState>(
-          it->first, creation_options,
-          ShardTelemetry{telemetry_on_ ? ingest_batch_hist_ : nullptr,
-                         telemetry_on_ ? coalesce_run_hist_ : nullptr});
-      created = it->second.get();
-    }
-    state = it->second.get();
+  std::unique_lock<std::shared_mutex> lock(registry_mu_);
+  auto [it, inserted] = registry_.try_emplace(std::string(key), nullptr);
+  if (inserted) {
+    EngineOptions creation_options = options_;
+    if (backend) creation_options.kind = *backend;
+    it->second = std::make_unique<KeyState>(
+        it->first, creation_options,
+        ShardTelemetry{telemetry_on_ ? ingest_batch_hist_ : nullptr,
+                       telemetry_on_ ? coalesce_run_hist_ : nullptr});
   }
-  // Metric registration happens after registry_mu_ is released (see
-  // RegisterKeyMetrics): only the inserting thread registers, so the
-  // key's series appear exactly once.
-  if (created != nullptr) RegisterKeyMetrics(*created);
-  return state;
+  return it->second.get();
 }
 
-void HistogramEngine::RegisterKeyMetrics(KeyState& state) {
-  const telemetry::Labels labels = {{"key", state.name}};
-  const auto counter = [&](const char* name, const char* help,
-                           const std::atomic<std::uint64_t>& cell) {
-    metrics_.AddCallback(name, help, telemetry::MetricKind::kCounter,
-                         labels, [&cell] {
-                           return static_cast<double>(
-                               cell.load(std::memory_order_acquire));
-                         });
-  };
-  KeyCounters& c = state.counters;
-  counter("dynhist_key_inserts_total", "Insert() calls accepted",
-          c.inserts);
-  counter("dynhist_key_deletes_total", "Delete() calls accepted",
-          c.deletes);
-  counter("dynhist_key_feedbacks_total",
-          "RecordFeedback() observations accepted", c.feedbacks);
-  counter("dynhist_key_queries_total", "Snapshot/estimate reads served",
-          c.queries);
-  counter("dynhist_key_snapshot_lease_hits_total",
-          "Handle-path lease revalidations served from the thread-local "
-          "cache (no shared_ptr traffic)",
-          c.lease_hits);
-  counter("dynhist_key_snapshot_lease_misses_total",
-          "Handle-path lease revalidations that re-acquired the published "
-          "snapshot (version moved, cold slot, or evicted)",
-          c.lease_misses);
-  counter("dynhist_key_publishes_total", "Snapshot publications",
-          c.publishes);
-  counter("dynhist_key_async_publishes_total",
-          "Publications run off the publish queue", c.async_publishes);
-  counter("dynhist_key_publish_queued_total",
-          "Publish requests accepted onto the queue", c.publish_queued);
-  counter("dynhist_key_publish_coalesced_total",
-          "Cadence trips absorbed by an already-pending request",
-          c.publish_coalesced);
-  counter("dynhist_key_publish_rejected_total",
-          "Publish requests dropped because the queue was full",
-          c.publish_rejected);
-  counter("dynhist_key_publish_skipped_total",
-          "Drained requests elided because a newer publication covered "
-          "them",
-          c.publish_skipped);
-  counter("dynhist_key_publish_nanos_total",
-          "Total nanoseconds spent publishing this key", c.publish_nanos);
-  counter("dynhist_key_queue_wait_nanos_total",
-          "Total nanoseconds this key's requests sat queued",
-          c.queue_wait_nanos);
-
-  // Feedback convergence observable: the gap between what the published
-  // snapshot estimated and what the predicate actually returned, per
-  // observation. Registered unconditionally so a key's series set is
-  // stable; recorded only when telemetry is on (see RecordFeedback).
-  state.feedback_abs_error_hist.store(
-      metrics_.AddHistogram(
-          "dynhist_key_feedback_abs_error",
-          "Absolute range-estimate error |published estimate - actual| "
-          "observed at feedback time",
-          telemetry::LogBucketer::PerDecade(4), labels),
-      std::memory_order_release);
-
-  KeyState* s = &state;
-  metrics_.AddCallback(
-      "dynhist_key_snapshot_epoch",
-      "Published snapshot epoch (0 = never published)",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        return static_cast<double>(
-            s->epoch.load(std::memory_order_relaxed));
-      });
-  metrics_.AddCallback(
-      "dynhist_key_lease_staleness_versions",
-      "Publications not yet observed by any reader lease (0 while the "
-      "reader fleet is current)",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        const std::uint64_t version =
-            s->version.load(std::memory_order_relaxed);
-        const std::uint64_t leased =
-            s->last_leased_version.load(std::memory_order_relaxed);
-        return version > leased ? static_cast<double>(version - leased)
-                                : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_staleness_updates",
-      "Accepted updates not yet covered by the published snapshot",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        const std::uint64_t count =
-            s->update_count.load(std::memory_order_relaxed);
-        const std::uint64_t published =
-            s->published_at.load(std::memory_order_relaxed);
-        return count > published
-                   ? static_cast<double>(count - published)
-                   : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_staleness_seconds",
-      "Seconds since the last publication (since engine start when "
-      "never published; 0 without telemetry)",
-      telemetry::MetricKind::kGauge, labels, [this, s] {
-        if (!telemetry_on_) return 0.0;
-        const std::uint64_t now = trace_.NowNs();
-        const std::uint64_t last =
-            s->last_publish_ns.load(std::memory_order_relaxed);
-        return now > last ? static_cast<double>(now - last) / 1e9 : 0.0;
-      });
-  metrics_.AddCallback(
-      "dynhist_key_buffered_ops",
-      "Operations in shard buffers not yet applied to shard histograms",
-      telemetry::MetricKind::kGauge, labels, [s] {
-        std::size_t buffered = 0;
-        for (const auto& shard : s->shards) buffered += shard->BufferedOps();
-        return static_cast<double>(buffered);
-      });
+std::vector<HistogramEngine::KeyState*> HistogramEngine::KeyStates() const {
+  std::vector<KeyState*> states;
+  std::shared_lock<std::shared_mutex> lock(registry_mu_);
+  states.reserve(registry_.size());
+  for (const auto& [name, state] : registry_) states.push_back(state.get());
+  return states;
 }
 
 std::size_t HistogramEngine::ShardIndexFor(const KeyState& state,
@@ -363,16 +362,13 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
   // would have consulted for this predicate (a never-published key reads
   // as the empty view, estimate 0 — exactly what a caller saw).
   if (telemetry_on_) {
-    if (telemetry::LogHistogram* hist =
-            state.feedback_abs_error_hist.load(std::memory_order_acquire)) {
-      double estimate = 0.0;
-      if (const std::shared_ptr<const VersionedModel> published =
-              state.published.load(std::memory_order_acquire)) {
-        estimate = published->compiled.EstimateRange(lo, hi);
-      }
-      hist->Record(static_cast<std::uint64_t>(
-          std::llround(std::fabs(estimate - actual))));
+    double estimate = 0.0;
+    if (const std::shared_ptr<const VersionedModel> published =
+            state.published.load(std::memory_order_acquire)) {
+      estimate = published->compiled.EstimateRange(lo, hi);
     }
+    state.feedback_error.Record(static_cast<std::uint64_t>(
+        std::llround(std::fabs(estimate - actual))));
   }
 
   // Broadcast to every shard with `actual` scaled by 1/shards: a range
@@ -391,29 +387,20 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
 }
 
 void HistogramEngine::Flush(std::string_view key) {
-  if (KeyState* state = FindKey(key)) {
-    const std::uint64_t start_ns = trace_.NowNs();
-    for (const auto& shard : state->shards) shard->Flush();
-    if (telemetry_on_ && trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kFlush,
-                     state->name.c_str(), "manual",
-                     state->epoch.load(std::memory_order_relaxed),
-                     start_ns, trace_.NowNs() - start_ns, 0});
-    }
-  }
+  if (KeyState* state = FindKey(key)) FlushKey(*state);
 }
 
 void HistogramEngine::FlushAll() {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  for (const auto& [name, state] : registry_) {
-    const std::uint64_t start_ns = trace_.NowNs();
-    for (const auto& shard : state->shards) shard->Flush();
-    if (telemetry_on_ && trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kFlush,
-                     state->name.c_str(), "manual",
-                     state->epoch.load(std::memory_order_relaxed),
-                     start_ns, trace_.NowNs() - start_ns, 0});
-    }
+  for (KeyState* state : KeyStates()) FlushKey(*state);
+}
+
+void HistogramEngine::FlushKey(KeyState& state) {
+  const std::uint64_t start_ns = trace_.NowNs();
+  for (const auto& shard : state.shards) shard->Flush();
+  if (telemetry_on_ && trace_.enabled()) {
+    trace_.Record({telemetry::TraceEventKind::kFlush, state.name.c_str(),
+                   "manual", state.epoch.load(std::memory_order_relaxed),
+                   start_ns, trace_.NowNs() - start_ns, 0});
   }
 }
 
@@ -437,13 +424,7 @@ EngineSnapshot HistogramEngine::RefreshSnapshot(std::string_view key) {
 void HistogramEngine::RefreshAll() { RefreshAllInternal("refresh"); }
 
 void HistogramEngine::RefreshAllInternal(const char* trigger) {
-  std::vector<KeyState*> states;
-  {
-    std::shared_lock<std::shared_mutex> lock(registry_mu_);
-    states.reserve(registry_.size());
-    for (const auto& [name, state] : registry_) states.push_back(state.get());
-  }
-  for (KeyState* state : states) {
+  for (KeyState* state : KeyStates()) {
     if (state->update_count.load(std::memory_order_relaxed) >
         state->published_at.load(std::memory_order_relaxed)) {
       Publish(*state, trigger);
@@ -453,11 +434,7 @@ void HistogramEngine::RefreshAllInternal(const char* trigger) {
 
 std::vector<std::string> HistogramEngine::Keys() const {
   std::vector<std::string> keys;
-  {
-    std::shared_lock<std::shared_mutex> lock(registry_mu_);
-    keys.reserve(registry_.size());
-    for (const auto& [name, state] : registry_) keys.push_back(name);
-  }
+  for (const KeyState* state : KeyStates()) keys.push_back(state->name);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -466,34 +443,9 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
                                                 HistogramModel model,
                                                 std::uint64_t watermark) {
   KeyState& state = *FindOrCreateKey(key);
-  std::unique_lock<std::mutex> publish_lock(state.publish_mu);
-  const std::uint64_t start_ns = trace_.NowNs();
-
-  // The publish tail of Publish(), minus the flush/merge head: same
-  // epoch/version ordering contract, same counters, so externally fed
-  // keys are indistinguishable to readers, leases, and telemetry.
-  const std::uint64_t epoch =
-      state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto versioned = std::make_shared<const VersionedModel>(
-      std::move(model), epoch, watermark);
-  state.published.store(versioned, std::memory_order_release);
-  state.version.fetch_add(1, std::memory_order_release);
-  state.counters.publishes.fetch_add(1, std::memory_order_release);
-
-  const std::uint64_t end_ns = trace_.NowNs();
-  const std::uint64_t nanos = end_ns - start_ns;
-  state.counters.publish_nanos.fetch_add(nanos, std::memory_order_release);
-  BumpMax(state.counters.max_publish_nanos, nanos);
-  if (telemetry_on_) {
-    state.last_publish_ns.store(end_ns, std::memory_order_relaxed);
-    publish_latency_hist_->Record(nanos);
-    if (trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kPublish,
-                     state.name.c_str(), "external", epoch, start_ns, nanos,
-                     0});
-    }
-  }
-  return EngineSnapshot(std::move(versioned));
+  std::lock_guard<std::mutex> publish_lock(state.publish_mu);
+  return PublishTail(state, std::move(model), watermark, "external",
+                     trace_.NowNs(), nullptr);
 }
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
@@ -625,45 +577,14 @@ double HistogramEngine::LiveTotalCount(std::string_view key) {
   return total;
 }
 
-void HistogramEngine::AccumulateStats(const KeyState& state,
-                                      EngineStats* stats) {
-  // Acquire loads pair with the release increments (see the EngineStats
-  // contract): observing a count implies observing the work it counts.
-  const KeyCounters& c = state.counters;
-  stats->inserts += c.inserts.load(std::memory_order_acquire);
-  stats->deletes += c.deletes.load(std::memory_order_acquire);
-  stats->feedbacks += c.feedbacks.load(std::memory_order_acquire);
-  stats->queries += c.queries.load(std::memory_order_acquire);
-  stats->lease_hits += c.lease_hits.load(std::memory_order_acquire);
-  stats->lease_misses += c.lease_misses.load(std::memory_order_acquire);
-  stats->publishes += c.publishes.load(std::memory_order_acquire);
-  stats->async_publishes +=
-      c.async_publishes.load(std::memory_order_acquire);
-  stats->publish_queued += c.publish_queued.load(std::memory_order_acquire);
-  stats->publish_coalesced +=
-      c.publish_coalesced.load(std::memory_order_acquire);
-  stats->publish_rejected +=
-      c.publish_rejected.load(std::memory_order_acquire);
-  stats->publish_skipped +=
-      c.publish_skipped.load(std::memory_order_acquire);
-  stats->publish_nanos += c.publish_nanos.load(std::memory_order_acquire);
-  stats->max_publish_nanos =
-      std::max(stats->max_publish_nanos,
-               c.max_publish_nanos.load(std::memory_order_acquire));
-  stats->queue_wait_nanos +=
-      c.queue_wait_nanos.load(std::memory_order_acquire);
-  stats->snapshot_epoch += state.epoch.load(std::memory_order_acquire);
-}
+EngineStats HistogramEngine::Stats() const { return GlobalStats(KeyStates()); }
 
-EngineStats HistogramEngine::Stats() const {
+EngineStats HistogramEngine::GlobalStats(
+    const std::vector<KeyState*>& states) const {
   EngineStats stats;
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  stats.keys = registry_.size();
-  for (const auto& [name, state] : registry_) {
-    AccumulateStats(*state, &stats);
-  }
-  stats.unknown_queries =
-      unknown_queries_.load(std::memory_order_acquire);
+  stats.keys = states.size();
+  for (const KeyState* state : states) AccumulateStats(*state, &stats);
+  stats.unknown_queries = unknown_queries_.load(std::memory_order_acquire);
   stats.queries += stats.unknown_queries;
   return stats;
 }
@@ -682,67 +603,70 @@ EngineStats HistogramEngine::Stats(const KeyHandle& handle) const {
 }
 
 telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
+  // Registry instruments first, then everything read off the key states
+  // with neither the registry's mutex nor registry_mu_ held.
   telemetry::MetricsSnapshot snapshot = metrics_.Collect();
-  const EngineStats stats = Stats();
-  const auto add = [&snapshot](const char* name, const char* help,
-                               telemetry::MetricKind kind,
-                               std::uint64_t value) {
-    snapshot.samples.push_back(telemetry::MetricSample{
-        name, help, kind, {}, static_cast<double>(value)});
+  std::vector<KeyState*> states = KeyStates();
+  const EngineStats stats = GlobalStats(states);
+  for (const CounterRow& row : kCounterTable) {
+    if (row.engine_series == nullptr) continue;
+    snapshot.samples.push_back({row.engine_series, row.help, row.kind, {},
+                                static_cast<double>(stats.*row.stat)});
+  }
+
+  // Per-key series, in key-name order so dumps are deterministic.
+  std::sort(states.begin(), states.end(),
+            [](const KeyState* a, const KeyState* b) {
+              return a->name < b->name;
+            });
+  const auto gap = [](std::uint64_t ahead, std::uint64_t behind) {
+    return ahead > behind ? static_cast<double>(ahead - behind) : 0.0;
   };
-  using telemetry::MetricKind;
-  add("dynhist_engine_keys", "Registered histogram keys",
-      MetricKind::kGauge, stats.keys);
-  add("dynhist_engine_inserts_total", "Insert() calls accepted",
-      MetricKind::kCounter, stats.inserts);
-  add("dynhist_engine_deletes_total", "Delete() calls accepted",
-      MetricKind::kCounter, stats.deletes);
-  add("dynhist_engine_feedbacks_total",
-      "RecordFeedback() observations accepted", MetricKind::kCounter,
-      stats.feedbacks);
-  add("dynhist_engine_queries_total",
-      "Snapshot/estimate reads served (unknown keys included)",
-      MetricKind::kCounter, stats.queries);
-  add("dynhist_engine_unknown_queries_total",
-      "Estimate reads answered without a snapshot (unknown key, or known "
-      "key never published)",
-      MetricKind::kCounter, stats.unknown_queries);
-  add("dynhist_snapshot_lease_hits_total",
-      "Lease revalidations served from thread-local caches (no "
-      "shared_ptr traffic)",
-      MetricKind::kCounter, stats.lease_hits);
-  add("dynhist_snapshot_lease_misses_total",
-      "Lease revalidations that re-acquired the published snapshot",
-      MetricKind::kCounter, stats.lease_misses);
-  add("dynhist_engine_publishes_total",
-      "Snapshot publications across all keys", MetricKind::kCounter,
-      stats.publishes);
-  add("dynhist_engine_async_publishes_total",
-      "Publications run off the publish queue", MetricKind::kCounter,
-      stats.async_publishes);
-  add("dynhist_engine_publish_queued_total",
-      "Publish requests accepted onto the queue", MetricKind::kCounter,
-      stats.publish_queued);
-  add("dynhist_engine_publish_coalesced_total",
-      "Cadence trips absorbed by an already-pending request",
-      MetricKind::kCounter, stats.publish_coalesced);
-  add("dynhist_engine_publish_rejected_total",
-      "Publish requests dropped because the queue was full",
-      MetricKind::kCounter, stats.publish_rejected);
-  add("dynhist_engine_publish_skipped_total",
-      "Drained requests elided because a newer publication covered them",
-      MetricKind::kCounter, stats.publish_skipped);
-  add("dynhist_engine_publish_nanos_total",
-      "Total nanoseconds spent publishing", MetricKind::kCounter,
-      stats.publish_nanos);
-  add("dynhist_engine_max_publish_nanos", "Slowest single publication, ns",
-      MetricKind::kGauge, stats.max_publish_nanos);
-  add("dynhist_engine_queue_wait_nanos_total",
-      "Total nanoseconds publish requests sat queued",
-      MetricKind::kCounter, stats.queue_wait_nanos);
-  add("dynhist_engine_snapshot_epochs",
-      "Sum of per-key published epochs (equals publishes at sync points)",
-      MetricKind::kGauge, stats.snapshot_epoch);
+  const std::uint64_t now_ns = telemetry_on_ ? trace_.NowNs() : 0;
+  for (const KeyState* state : states) {
+    const telemetry::Labels labels = {{"key", state->name}};
+    const auto add = [&](const char* name, const char* help, MetricKind kind,
+                         double value) {
+      snapshot.samples.push_back({name, help, kind, labels, value});
+    };
+    for (const CounterRow& row : kCounterTable) {
+      if (row.key_series == nullptr) continue;
+      add(row.key_series, row.help, row.kind,
+          static_cast<double>(
+              (state->counters.*row.cell).load(std::memory_order_acquire)));
+    }
+    add("dynhist_key_snapshot_epoch",
+        "Published snapshot epoch (0 = never published)", kGauge,
+        static_cast<double>(state->epoch.load(std::memory_order_relaxed)));
+    add("dynhist_key_lease_staleness_versions",
+        "Publications not yet observed by any reader lease (0 while the "
+        "reader fleet is current)",
+        kGauge,
+        gap(state->version.load(std::memory_order_relaxed),
+            state->last_leased_version.load(std::memory_order_relaxed)));
+    add("dynhist_key_staleness_updates",
+        "Accepted updates not yet covered by the published snapshot", kGauge,
+        gap(state->update_count.load(std::memory_order_relaxed),
+            state->published_at.load(std::memory_order_relaxed)));
+    add("dynhist_key_staleness_seconds",
+        "Seconds since the last publication (since engine start when "
+        "never published; 0 without telemetry)",
+        kGauge,
+        gap(now_ns, state->last_publish_ns.load(std::memory_order_relaxed)) /
+            1e9);
+    add("dynhist_key_buffered_ops",
+        "Operations in shard buffers not yet applied to shard histograms",
+        kGauge, static_cast<double>(BufferedOpsOf(*state)));
+    // Feedback convergence observable: the gap between what the published
+    // snapshot estimated and what the predicate actually returned.
+    // Exposed for every key so a key's series set is stable; recorded
+    // only when telemetry is on (see RecordFeedback).
+    snapshot.histograms.push_back(
+        {"dynhist_key_feedback_abs_error",
+         "Absolute range-estimate error |published estimate - actual| "
+         "observed at feedback time",
+         labels, state->feedback_error.Snapshot()});
+  }
   return snapshot;
 }
 
@@ -953,10 +877,7 @@ std::size_t HistogramEngine::PublishQueueDepth() const {
 
 std::size_t HistogramEngine::BufferedOps(std::string_view key) const {
   const KeyState* state = FindKey(key);
-  if (state == nullptr) return 0;
-  std::size_t buffered = 0;
-  for (const auto& shard : state->shards) buffered += shard->BufferedOps();
-  return buffered;
+  return state == nullptr ? 0 : BufferedOpsOf(*state);
 }
 
 void HistogramEngine::SetKeyOptions(std::string_view key,
@@ -1037,20 +958,33 @@ EngineSnapshot HistogramEngine::Publish(
   const std::uint64_t merged_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
+  const ShardStages stages{exported_ns, merged_ns};
+  return PublishTail(state, std::move(merged), watermark, trigger, start_ns,
+                     &stages);
+}
+
+EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
+                                            HistogramModel model,
+                                            std::uint64_t watermark,
+                                            const char* trigger,
+                                            std::uint64_t start_ns,
+                                            const ShardStages* stages) {
   // The VersionedModel compiles the flat query arena: O(pieces) — a few
-  // microseconds against the ~120 us merge above — so the
-  // publish-latency envelope is unchanged.
+  // microseconds against the ~120 us merge — so the publish-latency
+  // envelope is unchanged.
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
   auto versioned = std::make_shared<const VersionedModel>(
-      std::move(merged), epoch, watermark);
+      std::move(model), epoch, watermark);
   state.published.store(versioned, std::memory_order_release);
   // Lease validation stamp, bumped strictly AFTER the pointer swap: a
   // reader that acquire-loads the new version is guaranteed to observe
   // (at least) this publication in `published` — the invariant the
   // thread-local lease cache's hit path rests on (snapshot_lease.h).
   state.version.fetch_add(1, std::memory_order_release);
-  state.published_at.store(watermark, std::memory_order_relaxed);
+  if (stages != nullptr) {
+    state.published_at.store(watermark, std::memory_order_relaxed);
+  }
   state.counters.publishes.fetch_add(1, std::memory_order_release);
 
   const std::uint64_t end_ns = trace_.NowNs();
@@ -1062,10 +996,13 @@ EngineSnapshot HistogramEngine::Publish(
     publish_latency_hist_->Record(nanos);
     if (trace_.enabled()) {
       const char* key = state.name.c_str();
-      trace_.Record({telemetry::TraceEventKind::kFlush, key, trigger,
-                     epoch, start_ns, exported_ns - start_ns, 0});
-      trace_.Record({telemetry::TraceEventKind::kMerge, key, trigger,
-                     epoch, exported_ns, merged_ns - exported_ns, 0});
+      if (stages != nullptr) {
+        trace_.Record({telemetry::TraceEventKind::kFlush, key, trigger,
+                       epoch, start_ns, stages->exported_ns - start_ns, 0});
+        trace_.Record({telemetry::TraceEventKind::kMerge, key, trigger,
+                       epoch, stages->exported_ns,
+                       stages->merged_ns - stages->exported_ns, 0});
+      }
       trace_.Record({telemetry::TraceEventKind::kPublish, key, trigger,
                      epoch, start_ns, nanos, 0});
     }

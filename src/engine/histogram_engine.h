@@ -81,7 +81,9 @@ namespace dynhist::engine {
 /// from Stats(), or one key's share from Stats(key). The per-key
 /// counters are the source of truth; the aggregate is their sum (max for
 /// max_publish_nanos), so per-key stats sum to the global at any
-/// synchronization point.
+/// synchronization point. Each field is one row of the counter table in
+/// histogram_engine.cc, which also names its JSON field and its
+/// engine-wide and per-key exposition series.
 ///
 /// Memory-ordering contract: every counter is incremented with release
 /// ordering and read by Stats() with acquire ordering, so a counter value
@@ -343,7 +345,8 @@ class HistogramEngine {
   /// Metrics exposition: everything the engine knows about itself —
   /// global and per-key counters, staleness/queue-depth gauges, and the
   /// latency/size distributions — rendered as Prometheus text or JSON
-  /// (see src/telemetry/exposition.h). Thread-safe; scrape-cost only.
+  /// (see src/telemetry/exposition.h). Per-key series are collected at
+  /// scrape time, sorted by key. Thread-safe; scrape-cost only.
   void WriteMetricsPrometheus(std::string* out) const;
   void WriteMetricsJson(std::string* out) const;
 
@@ -358,11 +361,10 @@ class HistogramEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  // Per-key state and counters are hoisted to key_state.h (namespace
-  // internal) so KeyHandle and the thread-local snapshot lease cache can
-  // name them; the alias keeps this class's vocabulary unchanged.
+  // Per-key state is hoisted to key_state.h (namespace internal) so
+  // KeyHandle and the thread-local snapshot lease cache can name it; the
+  // alias keeps this class's vocabulary unchanged.
   using KeyState = internal::KeyState;
-  using KeyCounters = internal::KeyCounters;
 
   // Finds the key's state, creating it on the update path. Never returns
   // nullptr when create is true. `backend` overrides the shard histogram
@@ -373,19 +375,17 @@ class HistogramEngine {
   KeyState* FindOrCreateKey(std::string_view key,
                             std::optional<ShardHistogramKind> backend);
 
-  // Registers the key's per-key counter/gauge callbacks with the metrics
-  // registry. Called by the creating thread AFTER registry_mu_ is
-  // released: Collect() runs callbacks under the telemetry mutex, and
-  // holding registry_mu_ across registration would order the two locks
-  // both ways.
-  void RegisterKeyMetrics(KeyState& state);
+  // Every key's state, copied out under a shared registry_mu_ so callers
+  // walk the keys without holding it (states are never erased).
+  std::vector<KeyState*> KeyStates() const;
 
-  // Adds `state`'s counters into `*stats` (acquire loads; max fields
-  // combine by max, snapshot_epoch by sum).
-  static void AccumulateStats(const KeyState& state, EngineStats* stats);
+  // The global aggregate over `states` (what Stats() reports).
+  EngineStats GlobalStats(const std::vector<KeyState*>& states) const;
 
-  // Collects registry instruments plus the global-aggregate samples into
-  // one snapshot for the exposition writers.
+  // One scrape: the registry's instruments, then the engine-wide counter
+  // table and every key's series (sorted by key) read straight off the
+  // key states. Per-key series are never registry entries, and no
+  // registry callback takes registry_mu_, so the two locks never nest.
   telemetry::MetricsSnapshot CollectMetrics() const;
 
   // Shard routing for `value` — the single definition of the hash-to-shard
@@ -437,6 +437,26 @@ class HistogramEngine {
   EngineSnapshot Publish(KeyState& state,
                          std::unique_lock<std::mutex> publish_lock,
                          const char* trigger);
+
+  // When a shard-path publication finished exporting and merging (trace
+  // clock), for its flush and merge trace events.
+  struct ShardStages {
+    std::uint64_t exported_ns;
+    std::uint64_t merged_ns;
+  };
+
+  // The publish tail Publish and PublishExternal share, run under the
+  // key's publish_mu: epoch bump, VersionedModel (arena compile), swap,
+  // version bump, publish counters, latency, and trace. `stages` is null
+  // for an external model, which leaves published_at (the ingest
+  // watermark) alone and traces the publish event only.
+  EngineSnapshot PublishTail(KeyState& state, HistogramModel model,
+                             std::uint64_t watermark, const char* trigger,
+                             std::uint64_t start_ns,
+                             const ShardStages* stages);
+
+  // Drains `state`'s shard buffers and traces the flush (Flush/FlushAll).
+  void FlushKey(KeyState& state);
 
   // RefreshAll with the trace trigger attributed to the caller.
   void RefreshAllInternal(const char* trigger);

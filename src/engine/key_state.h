@@ -4,6 +4,9 @@
 // validates its cached epoch against KeyState::version. Everything here
 // is owned and orchestrated by HistogramEngine — the struct is an
 // implementation detail published only through the internal namespace.
+// A key registers nothing with the metrics registry: the engine's
+// collector reads these atomics (and the feedback-error histogram) at
+// scrape time.
 //
 // Lifetime contract (what makes KeyHandle safe): KeyStates live in a
 // registry that never erases, each behind a unique_ptr, so a KeyState's
@@ -24,11 +27,15 @@
 #include "src/engine/engine_options.h"
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
+#include "src/telemetry/log_histogram.h"
 
 namespace dynhist::engine::internal {
 
 /// One key's share of the EngineStats counters (see the EngineStats
 /// ordering contract in histogram_engine.h; these are what Stats() sums).
+/// The counter table in histogram_engine.cc maps each cell to its
+/// EngineStats field and exposition series — a new counter is one cell
+/// here plus one table row there.
 struct KeyCounters {
   std::atomic<std::uint64_t> inserts{0};
   std::atomic<std::uint64_t> deletes{0};
@@ -51,8 +58,9 @@ struct KeyState {
   KeyState(std::string key_name, const EngineOptions& options,
            const ShardTelemetry& shard_telemetry);
 
-  /// The key, interned for the registry's lifetime: trace events and
-  /// metric labels reference its storage.
+  /// The key, interned for the registry's lifetime: trace events
+  /// reference its storage, and the collector labels the key's series
+  /// with it.
   const std::string name;
 
   /// The shard histogram kind this key was created with (the global
@@ -63,11 +71,11 @@ struct KeyState {
   std::vector<std::unique_ptr<EngineShard>> shards;
 
   /// Per-key |published estimate − actual| distribution, recorded at
-  /// RecordFeedback time (the convergence observable: how wrong the
-  /// optimizer-visible snapshot was about each observed predicate).
-  /// Registered by RegisterKeyMetrics after creation; null until then
-  /// and when telemetry is off.
-  std::atomic<telemetry::LogHistogram*> feedback_abs_error_hist{nullptr};
+  /// RecordFeedback time when telemetry is on (the convergence
+  /// observable: how wrong the optimizer-visible snapshot was about each
+  /// observed predicate). The engine's collector reads it at scrape time.
+  telemetry::LogHistogram feedback_error{
+      telemetry::LogBucketer::PerDecade(4)};
 
   KeyCounters counters;
 

@@ -22,23 +22,6 @@ bool ValidMetricName(const std::string& name) {
 
 }  // namespace
 
-Counter* MetricsRegistry::AddCounter(std::string name, std::string help,
-                                     Labels labels) {
-  DH_CHECK(ValidMetricName(name));
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.emplace_back(std::move(name), std::move(help),
-                         std::move(labels));
-  return &counters_.back().instrument;
-}
-
-Gauge* MetricsRegistry::AddGauge(std::string name, std::string help,
-                                 Labels labels) {
-  DH_CHECK(ValidMetricName(name));
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_.emplace_back(std::move(name), std::move(help), std::move(labels));
-  return &gauges_.back().instrument;
-}
-
 void MetricsRegistry::AddCallback(std::string name, std::string help,
                                   MetricKind kind, Labels labels,
                                   std::function<double()> read) {
@@ -58,23 +41,13 @@ LogHistogram* MetricsRegistry::AddHistogram(std::string name,
   std::lock_guard<std::mutex> lock(mu_);
   histograms_.emplace_back(std::move(name), std::move(help),
                            std::move(labels), std::move(bucketer));
-  return &histograms_.back().instrument;
+  return &histograms_.back().histogram;
 }
 
 MetricsSnapshot MetricsRegistry::Collect() const {
   MetricsSnapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
-  snapshot.samples.reserve(counters_.size() + gauges_.size() +
-                           callbacks_.size());
-  for (const auto& c : counters_) {
-    snapshot.samples.push_back(
-        MetricSample{c.name, c.help, MetricKind::kCounter, c.labels,
-                     static_cast<double>(c.instrument.value())});
-  }
-  for (const auto& g : gauges_) {
-    snapshot.samples.push_back(MetricSample{
-        g.name, g.help, MetricKind::kGauge, g.labels, g.instrument.value()});
-  }
+  snapshot.samples.reserve(callbacks_.size());
   for (const auto& cb : callbacks_) {
     snapshot.samples.push_back(
         MetricSample{cb.name, cb.help, cb.kind, cb.labels, cb.read()});
@@ -82,7 +55,7 @@ MetricsSnapshot MetricsRegistry::Collect() const {
   snapshot.histograms.reserve(histograms_.size());
   for (const auto& h : histograms_) {
     snapshot.histograms.push_back(
-        HistogramSample{h.name, h.help, h.labels, h.instrument.Snapshot()});
+        HistogramSample{h.name, h.help, h.labels, h.histogram.Snapshot()});
   }
   return snapshot;
 }

@@ -1,26 +1,24 @@
-// Lock-light metrics registry: named counters, gauges, and log-bucketed
-// histograms with stable handles.
+// Lock-light metrics registry: scrape-time callback metrics and
+// log-bucketed histograms with stable handles.
 //
-// Registration (cold, engine-construction / key-creation time) takes the
-// registry mutex and hands back a pointer into registry-owned storage
-// that stays valid for the registry's lifetime. The hot path then
-// touches only that handle — one relaxed atomic RMW for a counter
-// increment, a handful for a histogram Record — and never the mutex.
-// Collect() (cold: an exposition scrape) takes the mutex, reads every
-// instrument, and materializes a plain MetricsSnapshot for the writers
-// in exposition.h.
+// Registration (cold, construction time) takes the registry mutex; an
+// AddHistogram hands back a pointer into registry-owned storage that
+// stays valid for the registry's lifetime. The hot path then touches
+// only that handle — a handful of relaxed atomic RMWs per Record — and
+// never the mutex. Collect() (cold: an exposition scrape) takes the
+// mutex, reads every instrument, and materializes a plain
+// MetricsSnapshot for the writers in exposition.h.
 //
-// Callback metrics cover derived values that are cheaper to compute at
-// scrape time than to maintain — queue depth, snapshot staleness, a
-// per-key atomic someone else owns. The callback runs under the
-// registry mutex during Collect(), so it must not re-enter the registry
-// and should only read (typically a few atomics).
+// Callback metrics cover values that are cheaper to compute at scrape
+// time than to maintain — queue depth, an atomic someone else owns. The
+// callback runs under the registry mutex during Collect(), so it must not
+// re-enter the registry and should only read (typically a few atomics).
+// Owners with many similar series (the engine's per-key series) append
+// them to the collected snapshot themselves instead of registering each.
 
 #ifndef DYNHIST_TELEMETRY_REGISTRY_H_
 #define DYNHIST_TELEMETRY_REGISTRY_H_
 
-#include <atomic>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -37,38 +35,6 @@ namespace dynhist::telemetry {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 enum class MetricKind { kCounter, kGauge };
-
-/// A monotone counter. Wait-free; values expose as doubles.
-class Counter {
- public:
-#if DYNHIST_TELEMETRY
-  void Increment(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-#else
-  void Increment(std::uint64_t = 1) {}
-#endif
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// A settable instantaneous value.
-class Gauge {
- public:
-#if DYNHIST_TELEMETRY
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-#else
-  void Set(double) {}
-#endif
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// One scalar sample in a collected snapshot.
 struct MetricSample {
@@ -88,7 +54,7 @@ struct HistogramSample {
 };
 
 /// Everything a scrape saw, as plain values. Samples appear in
-/// registration order; the exposition writers group them by family.
+/// collection order; the exposition writers group them by family.
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
   std::vector<HistogramSample> histograms;
@@ -104,10 +70,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* AddCounter(std::string name, std::string help,
-                      Labels labels = {});
-  Gauge* AddGauge(std::string name, std::string help, Labels labels = {});
-
   /// A metric whose value is computed at scrape time by `read` (which
   /// runs under the registry mutex — keep it to a few atomic loads).
   void AddCallback(std::string name, std::string help, MetricKind kind,
@@ -119,21 +81,19 @@ class MetricsRegistry {
   MetricsSnapshot Collect() const;
 
  private:
-  // Instruments hold atomics (immovable), so they are constructed in
-  // place inside the deques via this constructor.
-  template <typename T>
-  struct Instrument {
-    template <typename... Args>
-    Instrument(std::string n, std::string h, Labels l, Args&&... args)
+  // Histograms hold atomics (immovable), so they are constructed in
+  // place inside the deque.
+  struct NamedHistogram {
+    NamedHistogram(std::string n, std::string h, Labels l, LogBucketer b)
         : name(std::move(n)),
           help(std::move(h)),
           labels(std::move(l)),
-          instrument(std::forward<Args>(args)...) {}
+          histogram(std::move(b)) {}
 
     std::string name;
     std::string help;
     Labels labels;
-    T instrument;
+    LogHistogram histogram;
   };
   struct CallbackMetric {
     std::string name;
@@ -144,11 +104,9 @@ class MetricsRegistry {
   };
 
   mutable std::mutex mu_;
-  // Deques: handles are pointers into these, so storage must not move.
-  std::deque<Instrument<Counter>> counters_;
-  std::deque<Instrument<Gauge>> gauges_;
-  std::deque<Instrument<LogHistogram>> histograms_;
-  std::deque<CallbackMetric> callbacks_;
+  // Deque: handles are pointers into it, so storage must not move.
+  std::deque<NamedHistogram> histograms_;
+  std::vector<CallbackMetric> callbacks_;
 };
 
 }  // namespace dynhist::telemetry

@@ -1,6 +1,7 @@
 // Tests of the engine's telemetry integration: per-key stats that sum to
 // the global aggregate under concurrent writers and merge workers,
-// queue-wait accounting, staleness gauges, per-key exposition series,
+// queue-wait accounting, staleness gauges, per-key exposition series
+// (a golden series inventory, and key creation racing a scrape),
 // trace events for the publish lifecycle, and the telemetry-disabled
 // mode (stats still counted, distributions and traces off).
 
@@ -9,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,6 +56,272 @@ std::string Prometheus(const HistogramEngine& engine) {
   std::string error;
   EXPECT_TRUE(telemetry::SelfCheckPrometheus(text, &error)) << error;
   return text;
+}
+
+// ---- Exposition inventory -------------------------------------------------
+
+// Families whose values read the engine's clock: their sample values (and
+// the sparse finite-`le` buckets, whose set moves with the timings) are
+// not reproducible, so the inventory keeps their label sets and counts but
+// masks the clock-valued numbers.
+bool ClockValued(const std::string& family) {
+  return family.find("nanos") != std::string::npos ||
+         (family.size() > 3 &&
+          family.compare(family.size() - 3, 3, "_ns") == 0);
+}
+
+// Every exposed series as "family TYPE series{labels} value", sorted.
+// dynhist_key_staleness_seconds reads a wall clock and is left out.
+std::vector<std::string> ExpositionInventory(const std::string& text) {
+  std::vector<std::string> inventory;
+  std::string family;
+  std::string type;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::size_t space = line.find(' ', 7);
+      family = line.substr(7, space - 7);
+      type = line.substr(space + 1);
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    if (family == "dynhist_key_staleness_seconds") continue;
+    const std::size_t split = line.rfind(' ');
+    const std::string series = line.substr(0, split);
+    std::string value = line.substr(split + 1);
+    if (ClockValued(family)) {
+      const bool bucket = series.find("_bucket{") != std::string::npos;
+      if (bucket && series.find("le=\"+Inf\"") == std::string::npos) continue;
+      if (!bucket && series.find("_count") == std::string::npos) value = "*";
+    }
+    inventory.push_back(family + " " + type + " " + series + " " + value);
+  }
+  std::sort(inventory.begin(), inventory.end());
+  return inventory;
+}
+
+// Per-key series are emitted in key-name order within every series
+// name, whatever order the keys were created in.
+void ExpectPerKeySeriesSorted(const std::string& text) {
+  std::map<std::string, std::vector<std::string>> keys_by_series;
+  std::size_t pos = 0;
+  while ((pos = text.find("{key=\"", pos)) != std::string::npos) {
+    const std::size_t line_start = text.rfind('\n', pos) + 1;
+    const std::size_t value_start = pos + 6;
+    const std::size_t value_end = text.find('"', value_start);
+    keys_by_series[text.substr(line_start, pos - line_start)].push_back(
+        text.substr(value_start, value_end - value_start));
+    pos = value_end;
+  }
+  ASSERT_FALSE(keys_by_series.empty());
+  for (const auto& [series, keys] : keys_by_series) {
+    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << series;
+  }
+}
+
+// A fixed script over a manual-pump engine with one DADO key (async
+// cadence, one queued and one coalesced trip), one ST-FEEDBACK key, and
+// one key fed by PublishExternal, created out of name order.
+void RunInventoryScript(HistogramEngine& engine) {
+  engine.SetKeyOptions("orders.amount",
+                       {.snapshot_every = 8, .async_publish = true});
+  for (int i = 0; i < 20; ++i) engine.Insert("orders.amount", i % 10);
+  engine.Delete("orders.amount", 3);
+  engine.PumpPublishes();
+  engine.RecordFeedback("orders.amount", 0, 4, 9.0);
+  engine.RefreshSnapshot("orders.amount");
+  for (int q = 0; q < 5; ++q) engine.EstimateRange("orders.amount", q, 9);
+  engine.Snapshot("orders.amount");
+
+  engine.SetKeyOptions("lineitem.qty",
+                       {.backend = ShardHistogramKind::kStFeedback});
+  engine.EstimateRange("lineitem.qty", 0, 10);  // never published: unknown
+  engine.InsertBatch("lineitem.qty", {1, 2, 3, 4});
+  engine.RecordFeedback("lineitem.qty", 0, 50, 40.0);
+  engine.RecordFeedback("lineitem.qty", 10, 20, 12.0);
+  engine.RefreshSnapshot("lineitem.qty");
+  engine.RecordFeedback("lineitem.qty", 0, 50, 44.0);
+  engine.RecordFeedback("lineitem.qty", 30, 90, 7.0);
+  engine.Flush("lineitem.qty");
+
+  engine.PublishExternal(
+      "global.price",
+      HistogramModel::FromSimpleBuckets({{0.0, 10.5, 100.0},
+                                         {10.5, 40.0, 59.0}}),
+      /*watermark=*/77);
+  const KeyHandle handle = engine.Resolve("global.price");
+  for (int q = 0; q < 4; ++q) engine.EstimateRange(handle, q, 30);
+  engine.EstimateRangeBatch(handle, {{0, 5}, {6, 12}, {13, 39}});
+  engine.LeasedSnapshot(handle);
+  engine.Snapshot("no.such.key");
+  engine.FlushAll();
+}
+
+TEST(EngineTelemetryTest, ExpositionInventoryIsStable) {
+  // The full series inventory the script above produces, captured before
+  // per-key series moved from registry callbacks to the engine's
+  // scrape-time collector: every family, type, label set, and value must
+  // survive that move unchanged.
+  const std::vector<std::string> golden = {
+    "dynhist_coalesce_run_length histogram dynhist_coalesce_run_length_bucket{le=\"+Inf\"} 0",
+    "dynhist_coalesce_run_length histogram dynhist_coalesce_run_length_count 0",
+    "dynhist_coalesce_run_length histogram dynhist_coalesce_run_length_sum 0",
+    "dynhist_engine_async_publishes_total counter dynhist_engine_async_publishes_total 1",
+    "dynhist_engine_deletes_total counter dynhist_engine_deletes_total 1",
+    "dynhist_engine_feedbacks_total counter dynhist_engine_feedbacks_total 5",
+    "dynhist_engine_inserts_total counter dynhist_engine_inserts_total 24",
+    "dynhist_engine_keys gauge dynhist_engine_keys 3",
+    "dynhist_engine_max_publish_nanos gauge dynhist_engine_max_publish_nanos *",
+    "dynhist_engine_publish_coalesced_total counter dynhist_engine_publish_coalesced_total 1",
+    "dynhist_engine_publish_nanos_total counter dynhist_engine_publish_nanos_total *",
+    "dynhist_engine_publish_queue_depth gauge dynhist_engine_publish_queue_depth 0",
+    "dynhist_engine_publish_queued_total counter dynhist_engine_publish_queued_total 1",
+    "dynhist_engine_publish_rejected_total counter dynhist_engine_publish_rejected_total 0",
+    "dynhist_engine_publish_skipped_total counter dynhist_engine_publish_skipped_total 0",
+    "dynhist_engine_publishes_total counter dynhist_engine_publishes_total 4",
+    "dynhist_engine_queries_total counter dynhist_engine_queries_total 16",
+    "dynhist_engine_queue_wait_nanos_total counter dynhist_engine_queue_wait_nanos_total *",
+    "dynhist_engine_snapshot_epochs gauge dynhist_engine_snapshot_epochs 4",
+    "dynhist_engine_unknown_queries_total counter dynhist_engine_unknown_queries_total 2",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_bucket{le=\"+Inf\"} 12",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_bucket{le=\"2\"} 3",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_bucket{le=\"3\"} 5",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_bucket{le=\"6\"} 12",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_count 12",
+    "dynhist_ingest_batch_ops histogram dynhist_ingest_batch_ops_sum 35",
+    "dynhist_key_async_publishes_total counter dynhist_key_async_publishes_total{key=\"global.price\"} 0",
+    "dynhist_key_async_publishes_total counter dynhist_key_async_publishes_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_async_publishes_total counter dynhist_key_async_publishes_total{key=\"orders.amount\"} 1",
+    "dynhist_key_buffered_ops gauge dynhist_key_buffered_ops{key=\"global.price\"} 0",
+    "dynhist_key_buffered_ops gauge dynhist_key_buffered_ops{key=\"lineitem.qty\"} 0",
+    "dynhist_key_buffered_ops gauge dynhist_key_buffered_ops{key=\"orders.amount\"} 0",
+    "dynhist_key_deletes_total counter dynhist_key_deletes_total{key=\"global.price\"} 0",
+    "dynhist_key_deletes_total counter dynhist_key_deletes_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_deletes_total counter dynhist_key_deletes_total{key=\"orders.amount\"} 1",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"global.price\",le=\"+Inf\"} 0",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"lineitem.qty\",le=\"+Inf\"} 4",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"lineitem.qty\",le=\"18\"} 2",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"lineitem.qty\",le=\"32\"} 3",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"lineitem.qty\",le=\"56\"} 4",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"orders.amount\",le=\"+Inf\"} 1",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_bucket{key=\"orders.amount\",le=\"1\"} 1",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_count{key=\"global.price\"} 0",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_count{key=\"lineitem.qty\"} 4",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_count{key=\"orders.amount\"} 1",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_sum{key=\"global.price\"} 0",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_sum{key=\"lineitem.qty\"} 88",
+    "dynhist_key_feedback_abs_error histogram dynhist_key_feedback_abs_error_sum{key=\"orders.amount\"} 0",
+    "dynhist_key_feedbacks_total counter dynhist_key_feedbacks_total{key=\"global.price\"} 0",
+    "dynhist_key_feedbacks_total counter dynhist_key_feedbacks_total{key=\"lineitem.qty\"} 4",
+    "dynhist_key_feedbacks_total counter dynhist_key_feedbacks_total{key=\"orders.amount\"} 1",
+    "dynhist_key_inserts_total counter dynhist_key_inserts_total{key=\"global.price\"} 0",
+    "dynhist_key_inserts_total counter dynhist_key_inserts_total{key=\"lineitem.qty\"} 4",
+    "dynhist_key_inserts_total counter dynhist_key_inserts_total{key=\"orders.amount\"} 20",
+    "dynhist_key_lease_staleness_versions gauge dynhist_key_lease_staleness_versions{key=\"global.price\"} 0",
+    "dynhist_key_lease_staleness_versions gauge dynhist_key_lease_staleness_versions{key=\"lineitem.qty\"} 1",
+    "dynhist_key_lease_staleness_versions gauge dynhist_key_lease_staleness_versions{key=\"orders.amount\"} 2",
+    "dynhist_key_publish_coalesced_total counter dynhist_key_publish_coalesced_total{key=\"global.price\"} 0",
+    "dynhist_key_publish_coalesced_total counter dynhist_key_publish_coalesced_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_publish_coalesced_total counter dynhist_key_publish_coalesced_total{key=\"orders.amount\"} 1",
+    "dynhist_key_publish_nanos_total counter dynhist_key_publish_nanos_total{key=\"global.price\"} *",
+    "dynhist_key_publish_nanos_total counter dynhist_key_publish_nanos_total{key=\"lineitem.qty\"} *",
+    "dynhist_key_publish_nanos_total counter dynhist_key_publish_nanos_total{key=\"orders.amount\"} *",
+    "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"global.price\"} 0",
+    "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"orders.amount\"} 1",
+    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"global.price\"} 0",
+    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"orders.amount\"} 0",
+    "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"global.price\"} 0",
+    "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"orders.amount\"} 0",
+    "dynhist_key_publishes_total counter dynhist_key_publishes_total{key=\"global.price\"} 1",
+    "dynhist_key_publishes_total counter dynhist_key_publishes_total{key=\"lineitem.qty\"} 1",
+    "dynhist_key_publishes_total counter dynhist_key_publishes_total{key=\"orders.amount\"} 2",
+    "dynhist_key_queries_total counter dynhist_key_queries_total{key=\"global.price\"} 8",
+    "dynhist_key_queries_total counter dynhist_key_queries_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_queries_total counter dynhist_key_queries_total{key=\"orders.amount\"} 6",
+    "dynhist_key_queue_wait_nanos_total counter dynhist_key_queue_wait_nanos_total{key=\"global.price\"} *",
+    "dynhist_key_queue_wait_nanos_total counter dynhist_key_queue_wait_nanos_total{key=\"lineitem.qty\"} *",
+    "dynhist_key_queue_wait_nanos_total counter dynhist_key_queue_wait_nanos_total{key=\"orders.amount\"} *",
+    "dynhist_key_snapshot_epoch gauge dynhist_key_snapshot_epoch{key=\"global.price\"} 1",
+    "dynhist_key_snapshot_epoch gauge dynhist_key_snapshot_epoch{key=\"lineitem.qty\"} 1",
+    "dynhist_key_snapshot_epoch gauge dynhist_key_snapshot_epoch{key=\"orders.amount\"} 2",
+    "dynhist_key_snapshot_lease_hits_total counter dynhist_key_snapshot_lease_hits_total{key=\"global.price\"} 5",
+    "dynhist_key_snapshot_lease_hits_total counter dynhist_key_snapshot_lease_hits_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_snapshot_lease_hits_total counter dynhist_key_snapshot_lease_hits_total{key=\"orders.amount\"} 0",
+    "dynhist_key_snapshot_lease_misses_total counter dynhist_key_snapshot_lease_misses_total{key=\"global.price\"} 1",
+    "dynhist_key_snapshot_lease_misses_total counter dynhist_key_snapshot_lease_misses_total{key=\"lineitem.qty\"} 0",
+    "dynhist_key_snapshot_lease_misses_total counter dynhist_key_snapshot_lease_misses_total{key=\"orders.amount\"} 0",
+    "dynhist_key_staleness_updates gauge dynhist_key_staleness_updates{key=\"global.price\"} 0",
+    "dynhist_key_staleness_updates gauge dynhist_key_staleness_updates{key=\"lineitem.qty\"} 2",
+    "dynhist_key_staleness_updates gauge dynhist_key_staleness_updates{key=\"orders.amount\"} 0",
+    "dynhist_publish_latency_ns histogram dynhist_publish_latency_ns_bucket{le=\"+Inf\"} 4",
+    "dynhist_publish_latency_ns histogram dynhist_publish_latency_ns_count 4",
+    "dynhist_publish_latency_ns histogram dynhist_publish_latency_ns_sum *",
+    "dynhist_publish_queue_wait_ns histogram dynhist_publish_queue_wait_ns_bucket{le=\"+Inf\"} 1",
+    "dynhist_publish_queue_wait_ns histogram dynhist_publish_queue_wait_ns_count 1",
+    "dynhist_publish_queue_wait_ns histogram dynhist_publish_queue_wait_ns_sum *",
+    "dynhist_query_latency_ns histogram dynhist_query_latency_ns_bucket{le=\"+Inf\"} 2",
+    "dynhist_query_latency_ns histogram dynhist_query_latency_ns_count 2",
+    "dynhist_query_latency_ns histogram dynhist_query_latency_ns_sum *",
+    "dynhist_snapshot_lease_hits_total counter dynhist_snapshot_lease_hits_total 5",
+    "dynhist_snapshot_lease_misses_total counter dynhist_snapshot_lease_misses_total 1",
+    "dynhist_trace_events_dropped_total counter dynhist_trace_events_dropped_total 0",
+    "dynhist_trace_events_recorded_total counter dynhist_trace_events_recorded_total 14",
+  };
+  HistogramEngine engine(ManualOptions());
+  RunInventoryScript(engine);
+  const std::string text = Prometheus(engine);
+  EXPECT_EQ(ExpositionInventory(text), golden);
+
+  ExpectPerKeySeriesSorted(text);
+
+  // EngineStats keeps its field set, ToJson order, and values.
+  const std::string json = engine.Stats().ToJson();
+  std::vector<std::string> fields;
+  for (std::size_t pos = json.find('"'); pos != std::string::npos;
+       pos = json.find('"', json.find(',', pos))) {
+    const std::size_t close = json.find('"', pos + 1);
+    fields.push_back(json.substr(pos + 1, close - pos - 1));
+    if (json.find(',', pos) == std::string::npos) break;
+  }
+  const std::vector<std::string> expected_fields = {
+      "keys", "inserts", "deletes", "feedbacks", "queries",
+      "fallback_queries", "unknown_queries", "lease_hits", "lease_misses",
+      "publishes", "async_publishes", "publish_queued",
+      "publish_coalesced", "publish_rejected", "publish_skipped",
+      "publish_nanos", "max_publish_nanos", "queue_wait_nanos",
+      "snapshot_epoch"};
+  EXPECT_EQ(fields, expected_fields);
+  EXPECT_EQ(json.rfind("{\"keys\":3,\"inserts\":24,\"deletes\":1,"
+                       "\"feedbacks\":5,\"queries\":16,"
+                       "\"fallback_queries\":0,\"unknown_queries\":2,"
+                       "\"lease_hits\":5,\"lease_misses\":1,"
+                       "\"publishes\":4,\"async_publishes\":1,"
+                       "\"publish_queued\":1,\"publish_coalesced\":1,"
+                       "\"publish_rejected\":0,\"publish_skipped\":0,",
+                       0),
+            0u)
+      << json;
+  EXPECT_NE(json.find(",\"snapshot_epoch\":4}"), std::string::npos) << json;
+  const EngineStats orders = engine.Stats("orders.amount");
+  EXPECT_EQ(orders.keys, 1u);
+  EXPECT_EQ(orders.inserts, 20u);
+  EXPECT_EQ(orders.queries, 6u);
+  EXPECT_EQ(orders.publishes, 2u);
+  EXPECT_EQ(orders.publish_coalesced, 1u);
+  EXPECT_EQ(orders.unknown_queries, 0u);
+  const EngineStats external = engine.Stats("global.price");
+  EXPECT_EQ(external.queries, 8u);
+  EXPECT_EQ(external.lease_hits, 5u);
+  EXPECT_EQ(external.lease_misses, 1u);
+  EXPECT_EQ(external.inserts, 0u);
+  EXPECT_EQ(external.snapshot_epoch, 1u);
 }
 
 TEST(EngineTelemetryTest, PerKeyStatsSumToGlobalUnderConcurrency) {
@@ -274,6 +543,60 @@ TEST(EngineTelemetryTest, DisabledTelemetrySkipsQueryLatencySampling) {
   const std::string text = Prometheus(engine);
   EXPECT_EQ(MetricValue(text, "dynhist_query_latency_ns_count"), 0.0);
   EXPECT_EQ(engine.Stats("k").queries, 2000u);
+}
+
+
+TEST(EngineTelemetryTest, ConcurrentKeyCreationAndScrape) {
+  // Four threads create keys while a fifth scrapes in a loop. The
+  // collector copies the key list under a shared registry lock and reads
+  // per-key state outside it, so a scrape never nests the registry's
+  // mutex inside registry_mu_ (or the reverse), and every scrape sees
+  // each key either whole or not at all. CI runs this suite under TSan.
+  HistogramEngine engine(ManualOptions());
+  constexpr int kCreators = 4;
+  constexpr int kKeysPerCreator = 64;
+  std::atomic<bool> done{false};
+  int scrapes = 0;
+  std::thread scraper([&] {
+    do {
+      std::string text;
+      engine.WriteMetricsPrometheus(&text);
+      std::string error;
+      if (!telemetry::SelfCheckPrometheus(text, &error)) {
+        ADD_FAILURE() << error;
+        return;
+      }
+      ++scrapes;
+    } while (!done.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> creators;
+  for (int c = 0; c < kCreators; ++c) {
+    creators.emplace_back([&engine, c] {
+      for (int k = 0; k < kKeysPerCreator; ++k) {
+        const std::string key =
+            "k" + std::to_string(c) + "." + std::to_string(k);
+        engine.Insert(key, k);
+        engine.RecordFeedback(key, 0, k, 1.0);
+      }
+    });
+  }
+  for (std::thread& t : creators) t.join();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(scrapes, 0);
+
+  const std::string text = Prometheus(engine);
+  constexpr int kKeys = kCreators * kKeysPerCreator;
+  EXPECT_EQ(MetricValue(text, "dynhist_engine_keys"), kKeys);
+  int key_series = 0;
+  for (std::size_t pos = 0;
+       (pos = text.find("\ndynhist_key_inserts_total{", pos)) !=
+       std::string::npos;
+       ++pos) {
+    ++key_series;
+  }
+  EXPECT_EQ(key_series, kKeys);
+  ExpectPerKeySeriesSorted(text);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // negative cases — the self-check must actually reject broken output,
 // or the check.sh gate it backs is vacuous).
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -112,27 +113,39 @@ TEST(LogHistogramTest, MergeAddsCountsAndCombinesMax) {
 
 TEST(MetricsRegistryTest, CollectReturnsEveryInstrument) {
   MetricsRegistry registry;
-  Counter* c = registry.AddCounter("test_ops_total", "ops",
-                                   {{"key", "alpha"}});
-  Gauge* g = registry.AddGauge("test_depth", "depth");
+  std::atomic<std::uint64_t> ops{0};
+  registry.AddCallback("test_ops_total", "ops", MetricKind::kCounter,
+                       {{"key", "alpha"}}, [&ops] {
+                         return static_cast<double>(
+                             ops.load(std::memory_order_relaxed));
+                       });
   registry.AddCallback("test_derived", "derived", MetricKind::kGauge, {},
                        [] { return 42.0; });
   LogHistogram* h = registry.AddHistogram("test_latency_ns", "latency",
-                                          LogBucketer::PowersOfTwo());
-  c->Increment(7);
-  g->Set(3.5);
+                                          LogBucketer::PowersOfTwo(),
+                                          {{"key", "beta"}});
+  ops.fetch_add(7, std::memory_order_relaxed);
   h->Record(100);
 
+  // Callbacks read at Collect() time, in registration order.
   const MetricsSnapshot snapshot = registry.Collect();
-  ASSERT_EQ(snapshot.samples.size(), 3u);
+  ASSERT_EQ(snapshot.samples.size(), 2u);
   ASSERT_EQ(snapshot.histograms.size(), 1u);
   EXPECT_EQ(snapshot.samples[0].name, "test_ops_total");
+  EXPECT_EQ(snapshot.samples[0].kind, MetricKind::kCounter);
   EXPECT_EQ(snapshot.samples[0].value, 7.0);
   ASSERT_EQ(snapshot.samples[0].labels.size(), 1u);
   EXPECT_EQ(snapshot.samples[0].labels[0].second, "alpha");
-  EXPECT_EQ(snapshot.samples[1].value, 3.5);
-  EXPECT_EQ(snapshot.samples[2].value, 42.0);
+  EXPECT_EQ(snapshot.samples[1].kind, MetricKind::kGauge);
+  EXPECT_EQ(snapshot.samples[1].value, 42.0);
+  EXPECT_EQ(snapshot.histograms[0].name, "test_latency_ns");
+  ASSERT_EQ(snapshot.histograms[0].labels.size(), 1u);
+  EXPECT_EQ(snapshot.histograms[0].labels[0].second, "beta");
   EXPECT_EQ(snapshot.histograms[0].snapshot.count, 1u);
+  EXPECT_EQ(snapshot.histograms[0].snapshot.sum, 100u);
+
+  ops.fetch_add(1, std::memory_order_relaxed);
+  EXPECT_EQ(registry.Collect().samples[0].value, 8.0);
 }
 
 TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {
