@@ -272,18 +272,19 @@ double MeasurePlannedQueries(const QueryPlan& plan,
 /// Baseline of the compiled-query gate: the engine's string-keyed read
 /// path as it was before every snapshot carried a compiled arena,
 /// replicated step for step — transparent registry find under a
-/// shared_mutex, acquire load of the key's atomic<shared_ptr> snapshot,
+/// shared_mutex, acquire load of the key's atomic<shared_ptr> model,
 /// the per-key query counter, the every-1024th latency sample, the
 /// model's piece walk, and the fallback-query counter. The engine itself
-/// reads only compiled arenas, so the gate's baseline lives here; the
-/// call stays out of line, like the library call it stands in for.
+/// holds only compiled arenas, so the gate's baseline (and its model,
+/// rebuilt once from the published arena) lives here; the call stays
+/// out of line, like the library call it stands in for.
 class PieceWalkReplica {
  public:
   PieceWalkReplica(std::string_view key,
                    const engine::EngineSnapshot& snapshot) {
     auto entry = std::make_unique<Entry>();
-    entry->published.store(std::make_shared<const engine::VersionedModel>(
-        snapshot.model(), snapshot.epoch(), snapshot.watermark()));
+    entry->published.store(
+        std::make_shared<const HistogramModel>(snapshot.model()));
     registry_.emplace(std::string(key), std::move(entry));
   }
 
@@ -297,7 +298,7 @@ class PieceWalkReplica {
       if (it != registry_.end()) entry = it->second.get();
     }
     if (entry == nullptr) return 0.0;
-    const std::shared_ptr<const engine::VersionedModel> published =
+    const std::shared_ptr<const HistogramModel> published =
         entry->published.load(std::memory_order_acquire);
     if (published == nullptr) return 0.0;
     const std::uint64_t qn =
@@ -305,7 +306,7 @@ class PieceWalkReplica {
     const bool sample = sample_latency_ && (qn & 1023u) == 0u;
     const auto t0 = sample ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point();
-    const double result = published->model.EstimateRange(lo, hi);
+    const double result = published->EstimateRange(lo, hi);
     if (sample) {
       latency_ns_.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -318,7 +319,7 @@ class PieceWalkReplica {
 
  private:
   struct Entry {
-    std::atomic<std::shared_ptr<const engine::VersionedModel>> published;
+    std::atomic<std::shared_ptr<const HistogramModel>> published;
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> fallback_queries{0};
   };

@@ -7,7 +7,8 @@
 //   pieces — piece-sweep Superimpose + streaming slice SSBM reduction
 //            (SnapshotMerger, the engine's default publish path);
 //   cells  — legacy range-scan Superimpose + per-integer-cell SSBM
-//            reduction (the paper-literal §8 construction).
+//            reduction (the paper-literal §8 construction, kept in
+//            tests/merge_reference.h as the parity reference).
 // The pieces path must be domain-independent (flat latency across the
 // sweep) and >= 10x faster than the legacy path at domain 1e6, while
 // agreeing with it on total mass (1e-9 relative) and shape (KS <= 1e-9;
@@ -28,16 +29,16 @@
 
 #include "bench/bench_util.h"
 #include "src/distributed/global_histogram.h"
+#include "tests/merge_reference.h"
 
 namespace dynhist::bench {
 namespace {
 
-using distributed::ReduceMode;
-using distributed::ReduceWithSsbm;
 using distributed::SnapshotMerger;
-using distributed::SuperimposeLegacy;
 using engine::EngineOptions;
 using engine::HistogramEngine;
+using reference::ReduceCellsWithSsbm;
+using reference::SuperimposeLegacy;
 
 constexpr int kShards = 8;
 constexpr std::int64_t kShardBuckets = 64;
@@ -147,9 +148,7 @@ int main(int argc, char** argv) {
     HistogramModel pieces_reduced;
     const double us_pieces = MicrosPerCall(
         [&] {
-          pieces_reduced =
-              merger.MergeAndReduce(models, kMergedBuckets,
-                                    ReduceMode::kPieces);
+          pieces_reduced = merger.MergeAndReduce(models, kMergedBuckets);
         },
         /*min_seconds=*/0.2, /*max_reps=*/2'000);
     pieces_us.push_back(us_pieces);
@@ -158,8 +157,8 @@ int main(int argc, char** argv) {
       HistogramModel cells_reduced;
       const double us_cells = MicrosPerCall(
           [&] {
-            cells_reduced = ReduceWithSsbm(SuperimposeLegacy(models),
-                                           kMergedBuckets, ReduceMode::kCells);
+            cells_reduced = ReduceCellsWithSsbm(SuperimposeLegacy(models),
+                                                kMergedBuckets);
           },
           /*min_seconds=*/0.2, /*max_reps=*/50);
       cells_us.push_back(us_cells);

@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
       if (!model.Empty()) models.push_back(std::move(model));
     }
     SnapshotMerger merger;
-    const HistogramModel merged =
-        merger.MergeAndReduce(models, 64, ReduceMode::kPieces);
+    const HistogramModel merged = merger.MergeAndReduce(models, 64);
     const CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
     Rng rng(99);
     for (int q = 0; q < queries; ++q) {

@@ -1,18 +1,8 @@
 #!/usr/bin/env bash
 # One-command regression check: configure, build, run the full test suite,
-# then smoke-run the merge-pipeline, concurrent-engine, and distributed
-# frame micro-benchmarks in quick mode (micro_merge_pipeline exits
-# nonzero if the publish-path speedup or parity criteria regress;
-# micro_engine_throughput exits nonzero if async publish stops cutting
-# boundary-op p99 latency >= 5x, if telemetry costs more than 5% of
-# ingest throughput, or if the compiled-snapshot query path drops below
-# 5x the bench's replica of the pre-arena piece-walk read path;
-# micro_dist_frames exits nonzero if loopback frame ingest falls under
-# 10k frames/sec or duplicate frames cause any merges;
-# micro_st_feedback exits nonzero if feedback-trained
-# accuracy falls under 2x the untrained equi-width baseline or the
-# 4-shard merged model drifts more than 10% from unmerged), and finally
-# the multi-process loopback smoke test
+# then the quick micro-bench gates (scripts/bench_gates.sh, which lists
+# each gate and its threshold; any tripped gate fails the check), and
+# finally the multi-process loopback smoke test
 # (scripts/loopback_smoke.sh: real server + client over 127.0.0.1 with
 # bit-identical and idempotence gates).
 #
@@ -20,12 +10,8 @@
 #   (default build dir: build)
 #
 # --bench-json additionally captures the benches' machine-readable series
-# (one JSON object per line) into BENCH_PR10.json at the repo root — the
-# perf-trajectory record (BENCH_PR2..PR9.json hold the
-# earlier-era series). The file leads with a `_meta` line recording the
-# capture environment; in particular the stock container is 1-core, so
-# the multi-thread series document batching/pipelining wins, not
-# parallel-core scaling.
+# (one JSON object per line) at the repo root — bench_gates.sh --json,
+# which names the capture file.
 #
 # --metrics-json additionally runs scripts/metrics_dump.sh after the
 # benches, dropping the engine's metrics exposition and trace artifacts
@@ -78,46 +64,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-run_bench() {
-  # Runs a bench, teeing its stdout; with --bench-json the JSON series
-  # lines (and only those) are appended to BENCH_PR10.json.
-  if [[ "$BENCH_JSON" == 1 ]]; then
-    "$@" --json | tee /dev/stderr | grep '^{' >> BENCH_PR10.json
-  else
-    "$@"
-  fi
-}
-
 if [[ "$BENCH_JSON" == 1 ]]; then
-  printf '{"bench":"_meta","series":"environment","cores":%s,"note":"%s"}\n' \
-    "$(nproc 2>/dev/null || echo 1)" \
-    "captured in a container; on 1 core the multi-thread series measure batching/pipelining, not parallel scaling" \
-    > BENCH_PR10.json
+  scripts/bench_gates.sh --json "$BUILD_DIR"
+else
+  scripts/bench_gates.sh "$BUILD_DIR"
 fi
-
-echo "== merge-pipeline micro-bench (quick) =="
-run_bench "$BUILD_DIR/micro_merge_pipeline" --quick
-
-echo "== engine micro-bench (quick) =="
-run_bench "$BUILD_DIR/micro_engine_throughput" --quick
-
-echo "== distributed frame micro-bench (quick) =="
-# Exits nonzero if loopback frame ingest drops below 10k frames/sec on
-# one core or if duplicate frames cause any merges at all.
-run_bench "$BUILD_DIR/micro_dist_frames" --quick
-
-echo "== self-tuning feedback micro-bench (quick) =="
-# Exits nonzero if the feedback-trained model is not >= 2x better than
-# the untrained equi-width baseline or the 4-shard merged model drifts
-# more than 10% from the unmerged one.
-run_bench "$BUILD_DIR/micro_st_feedback" --quick
 
 echo "== loopback smoke (server + client over 127.0.0.1) =="
 scripts/loopback_smoke.sh "$BUILD_DIR"
-
-if [[ "$BENCH_JSON" == 1 ]]; then
-  echo "== bench series written to BENCH_PR10.json =="
-fi
 
 if [[ "$METRICS_JSON" == 1 ]]; then
   echo "== metrics dump (exposition self-check gate) =="

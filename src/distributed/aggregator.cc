@@ -1,5 +1,7 @@
 #include "src/distributed/aggregator.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/telemetry/exposition.h"
@@ -117,19 +119,27 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
 
   KeyEntry& entry = keys_[decoded.header.key];
   num_keys_.store(keys_.size());
-  auto [slot_it, inserted] =
-      entry.sites.try_emplace(decoded.header.site_id);
-  SiteSlot& slot = slot_it->second;
-  if (!inserted && decoded.header.watermark <= slot.watermark) {
+  const std::uint32_t site_id = decoded.header.site_id;
+  const auto slot_it = std::lower_bound(
+      entry.slots.begin(), entry.slots.end(), site_id,
+      [](const SiteSlot& s, std::uint32_t id) { return s.site_id < id; });
+  const auto i = static_cast<std::size_t>(slot_it - entry.slots.begin());
+  if (slot_it == entry.slots.end() || slot_it->site_id != site_id) {
+    entry.slots.insert(slot_it, SiteSlot{site_id, 0});
+    entry.models.insert(entry.models.begin() + static_cast<std::ptrdiff_t>(i),
+                        HistogramModel());
+  } else if (decoded.header.watermark <= slot_it->watermark) {
     // Max-watermark idempotence: re-sends and reordered stale frames
     // never reach the merge path.
     frames_duplicate_.fetch_add(1);
     site.frames_duplicate.fetch_add(1);
     return IngestResult::kDuplicate;
   }
-  slot.epoch = decoded.header.epoch;
-  slot.watermark = decoded.header.watermark;
-  slot.model = decoded.ToModel();
+  entry.slots[i].watermark = decoded.header.watermark;
+  // The validated pieces move into the slot: DecodedFrame::ToModel
+  // without its copy.
+  entry.models[i] =
+      HistogramModel::FromSimpleBuckets(std::move(decoded.pieces));
   frames_applied_.fetch_add(1);
   site.frames_applied.fetch_add(1);
 
@@ -137,17 +147,12 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
   // the same sweep + SSBM reduction k shards take — and republish the
   // global view. The global watermark is the summed site watermarks:
   // "site updates this view covers".
-  std::vector<HistogramModel>& models = entry.scratch;
-  models.clear();
   std::uint64_t watermark = 0;
-  for (const auto& [site_id, s] : entry.sites) {
-    watermark += s.watermark;
-    if (!s.model.Empty()) models.push_back(s.model);
-  }
-  HistogramModel merged = entry.merger.MergeAndReduce(
-      models, options_.merged_buckets, ReduceMode::kPieces);
+  for (const SiteSlot& s : entry.slots) watermark += s.watermark;
+  const HistogramModel merged =
+      entry.merger.MergeAndReduce(entry.models, options_.merged_buckets);
   merges_.fetch_add(1);
-  engine_.PublishExternal(decoded.header.key, std::move(merged), watermark);
+  engine_.PublishExternal(decoded.header.key, merged, watermark);
   return IngestResult::kApplied;
 }
 

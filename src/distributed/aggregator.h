@@ -106,19 +106,20 @@ class Aggregator {
   void WriteMetricsPrometheus(std::string* out) const;
 
  private:
-  // One site's latest accepted state for one key.
+  // One site's high watermark for one key.
   struct SiteSlot {
-    std::uint64_t epoch = 0;
+    std::uint32_t site_id = 0;
     std::uint64_t watermark = 0;
-    HistogramModel model;
   };
 
-  // Per-key merge state. std::map keeps sites in ascending id order —
-  // the deterministic merge-input order the bit-identical contract
-  // (and the loopback test's in-process replica) depends on.
+  // Per-key merge state: each site's latest decoded model, ascending by
+  // site id — `models` is the merger's input as it stands, in the
+  // deterministic merge order the bit-identical contract (and the
+  // loopback test's in-process replica) depends on. `slots[i]` belongs
+  // to `models[i]`.
   struct KeyEntry {
-    std::map<std::uint32_t, SiteSlot> sites;
-    std::vector<HistogramModel> scratch;
+    std::vector<SiteSlot> slots;
+    std::vector<HistogramModel> models;
     SnapshotMerger merger;
   };
 

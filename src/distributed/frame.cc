@@ -112,7 +112,6 @@ std::string EncodeFrame(const FrameHeader& header,
 
 std::string EncodeFrame(const FrameHeader& header,
                         const CompiledSnapshot& snapshot) {
-  if (!snapshot.attached()) return EncodeFrame(header, HistogramModel());
   const std::size_t n = snapshot.NumPieces();
   std::string out;
   out.reserve(FrameBytesFor(header.key.size(), n));

@@ -112,8 +112,8 @@ constexpr std::size_t FrameBytesFor(std::size_t key_len,
 }
 
 /// Encodes an already-compiled snapshot under `header` — the zero-copy
-/// path: the borders()/rows() arrays are written out as-is. An absent
-/// snapshot encodes as an empty (zero-piece, zero-mass) frame.
+/// path: the borders()/rows() arrays are written out as-is. The empty
+/// arena encodes as the empty (zero-piece, zero-mass) frame.
 std::string EncodeFrame(const FrameHeader& header,
                         const CompiledSnapshot& snapshot);
 

@@ -1,7 +1,6 @@
 #include "src/distributed/global_histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/check.h"
 #include "src/histogram/budget.h"
@@ -11,10 +10,21 @@ namespace dynhist::distributed {
 
 namespace {
 
-// Per-cell masses below this are treated as empty space by both reduction
-// modes (the legacy cell path always filtered at this level; the piece path
-// applies it to the density, which is the mass of one cell).
+// Pieces whose density (the mass of one unit cell) is below this are
+// empty space to the reduction.
 constexpr double kMinDensity = 1e-12;
+
+// SSBM over the nonzero-density `pieces`, staged in *slices (reused).
+HistogramModel ReducePieces(const std::vector<HistogramModel::Piece>& pieces,
+                            std::int64_t buckets,
+                            std::vector<HistogramModel::Piece>* slices) {
+  slices->clear();
+  for (const HistogramModel::Piece& p : pieces) {
+    if (p.Density() > kMinDensity) slices->push_back(p);
+  }
+  if (slices->empty()) return HistogramModel();
+  return BuildSsbm(*slices, buckets);
+}
 
 }  // namespace
 
@@ -91,18 +101,10 @@ HistogramModel SnapshotMerger::Superimpose(
 
 HistogramModel SnapshotMerger::MergeAndReduce(
     const std::vector<HistogramModel>& models, std::int64_t buckets,
-    ReduceMode mode) {
+    ReduceMode) {
   if (buckets <= 0) return Superimpose(models);
-  if (mode == ReduceMode::kCells) {
-    return ReduceWithSsbm(Superimpose(models), buckets, ReduceMode::kCells);
-  }
   SweepInto(models);
-  slices_.clear();
-  for (const HistogramModel::Piece& p : pieces_) {
-    if (p.Density() > kMinDensity) slices_.push_back(p);
-  }
-  if (slices_.empty()) return HistogramModel();
-  return BuildSsbm(slices_, buckets);
+  return ReducePieces(pieces_, buckets, &slices_);
 }
 
 HistogramModel Superimpose(const std::vector<HistogramModel>& models) {
@@ -110,56 +112,11 @@ HistogramModel Superimpose(const std::vector<HistogramModel>& models) {
   return merger.Superimpose(models);
 }
 
-HistogramModel SuperimposeLegacy(const std::vector<HistogramModel>& models) {
-  // Union of all borders defines the elementary ranges.
-  std::vector<double> borders;
-  for (const HistogramModel& m : models) {
-    for (const HistogramModel::Piece& p : m.pieces()) {
-      borders.push_back(p.left);
-      borders.push_back(p.right);
-    }
-  }
-  std::sort(borders.begin(), borders.end());
-  borders.erase(std::unique(borders.begin(), borders.end()), borders.end());
-  if (borders.size() < 2) return HistogramModel();
-
-  std::vector<HistogramModel::Piece> pieces;
-  pieces.reserve(borders.size() - 1);
-  for (std::size_t i = 0; i + 1 < borders.size(); ++i) {
-    const double lo = borders[i];
-    const double hi = borders[i + 1];
-    double mass = 0.0;
-    for (const HistogramModel& m : models) {
-      mass += m.MassInRealRange(lo, hi);
-    }
-    if (mass > 0.0) pieces.push_back({lo, hi, mass});
-  }
-  return HistogramModel::FromSimpleBuckets(std::move(pieces));
-}
-
 HistogramModel ReduceWithSsbm(const HistogramModel& model,
-                              std::int64_t buckets, ReduceMode mode) {
-  if (model.Empty()) return HistogramModel();
-  if (mode == ReduceMode::kPieces) {
-    std::vector<HistogramModel::Piece> slices;
-    slices.reserve(model.NumPieces());
-    for (const HistogramModel::Piece& p : model.pieces()) {
-      if (p.Density() > kMinDensity) slices.push_back(p);
-    }
-    if (slices.empty()) return HistogramModel();
-    return BuildSsbm(slices, buckets);
-  }
-  // Legacy: read the composite back as expected counts per integer cell
-  // [v, v+1).
-  const auto first = static_cast<std::int64_t>(std::floor(model.MinBorder()));
-  const auto last = static_cast<std::int64_t>(std::ceil(model.MaxBorder()));
-  std::vector<ValueFreq> entries;
-  for (std::int64_t v = first; v < last; ++v) {
-    const double mass = model.MassInRealRange(static_cast<double>(v),
-                                              static_cast<double>(v) + 1.0);
-    if (mass > kMinDensity) entries.push_back({v, mass});
-  }
-  return BuildSsbm(entries, buckets);
+                              std::int64_t buckets) {
+  std::vector<HistogramModel::Piece> slices;
+  slices.reserve(model.NumPieces());
+  return ReducePieces(model.pieces(), buckets, &slices);
 }
 
 HistogramModel BuildGlobalHistogram(const std::vector<Site>& sites,

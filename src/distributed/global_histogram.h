@@ -17,8 +17,9 @@
 // log sites)) and the default SSBM reduction consumes the composite's
 // pieces directly as weighted slices (O(pieces * log pieces)) — publish
 // cost scales with bucket counts, never with the attribute domain. The
-// pre-sweep implementations are kept (SuperimposeLegacy, ReduceMode::
-// kCells) as parity references and for the merge-pipeline benchmark.
+// pre-sweep reference implementations (range-scan superposition and the
+// per-integer-cell reduction) live in tests/merge_reference.h, next to
+// the parity tests and the merge-pipeline benchmark that use them.
 
 #ifndef DYNHIST_DISTRIBUTED_GLOBAL_HISTOGRAM_H_
 #define DYNHIST_DISTRIBUTED_GLOBAL_HISTOGRAM_H_
@@ -33,16 +34,11 @@
 namespace dynhist::distributed {
 
 /// How a composite model is re-partitioned down to the bucket budget.
+/// There is one way: SSBM over the composite's pieces (see
+/// ReduceWithSsbm). The enum survives only as MergeAndReduce's
+/// ignored trailing argument, which the repo benchmark still names.
 enum class ReduceMode {
-  /// Feed the composite's pieces to SSBM as weighted uniform slices;
-  /// bucket borders fall on piece borders only. O(pieces log pieces),
-  /// independent of the attribute domain. The default everywhere.
   kPieces,
-  /// Legacy: rasterize the composite to expected counts per integer cell
-  /// [v, v+1) and run SSBM over the cells ("treat the histogram as a data
-  /// set", §8, literally). O(domain log domain); kept behind this flag for
-  /// parity testing and as the bench baseline.
-  kCells,
 };
 
 /// Lossless superposition of histogram models: the result has a border
@@ -53,20 +49,14 @@ enum class ReduceMode {
 /// supports (zero-coverage gaps between pieces stay gaps).
 HistogramModel Superimpose(const std::vector<HistogramModel>& models);
 
-/// The pre-sweep reference implementation: enumerates elementary ranges and
-/// integrates every model over each (O(ranges * models * log pieces)), and
-/// drops zero-mass ranges — so its support can be smaller than the union of
-/// the inputs' supports (masses and CDF are identical to Superimpose).
-/// Kept for parity tests and the merge-pipeline benchmark.
-HistogramModel SuperimposeLegacy(const std::vector<HistogramModel>& models);
-
-/// Reduces a composite model to `buckets` buckets with SSBM. kPieces
-/// consumes the composite's pieces directly; kCells reproduces the legacy
-/// per-integer-cell path. Both drop zero-density regions (below 1e-12 per
-/// cell), so a reduced model's support is the composite's nonzero support.
+/// Reduces a composite model to `buckets` buckets with SSBM, feeding the
+/// composite's pieces to it as weighted uniform slices: bucket borders
+/// fall on piece borders only, O(pieces log pieces), independent of the
+/// attribute domain. Zero-density pieces (below 1e-12 per unit cell) are
+/// dropped, so a reduced model's support is the composite's nonzero
+/// support.
 HistogramModel ReduceWithSsbm(const HistogramModel& model,
-                              std::int64_t buckets,
-                              ReduceMode mode = ReduceMode::kPieces);
+                              std::int64_t buckets);
 
 /// Reusable merge pipeline: superimpose + optional SSBM reduction with all
 /// intermediate buffers (sweep cursors, composite pieces, reduction slices)
@@ -78,12 +68,13 @@ class SnapshotMerger {
   /// Lossless superposition (same result as the free Superimpose).
   HistogramModel Superimpose(const std::vector<HistogramModel>& models);
 
-  /// Superimpose + reduce to `buckets` (<= 0 publishes the composite
-  /// unreduced). With kPieces the composite model is never materialized:
-  /// the sweep's pieces stream straight into the slice-input SSBM.
+  /// Superimpose + ReduceWithSsbm to `buckets` (<= 0 publishes the
+  /// composite unreduced). The composite model is never materialized:
+  /// the sweep's pieces stream straight into the slice-input SSBM. Empty
+  /// models are skipped, so callers may pass them in place.
   HistogramModel MergeAndReduce(const std::vector<HistogramModel>& models,
                                 std::int64_t buckets,
-                                ReduceMode mode = ReduceMode::kPieces);
+                                ReduceMode = ReduceMode::kPieces);
 
  private:
   // One input model's position in the k-way border sweep. Each piece

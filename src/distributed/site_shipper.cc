@@ -23,11 +23,13 @@ std::size_t SiteShipper::Ship(const Sink& sink, bool force) {
     header.epoch = snap.epoch();
     header.watermark = snap.watermark();
     const std::string frame = EncodeFrame(header, snap.compiled());
+    // A frame the sink refused was not shipped: the key stays pending
+    // and the next round re-sends it.
+    if (!sink(frame)) break;
     if (last < snap.epoch()) last = snap.epoch();
     ++frames_shipped_;
     bytes_shipped_ += frame.size();
     ++shipped;
-    if (!sink(frame)) break;
   }
   return shipped;
 }

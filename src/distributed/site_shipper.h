@@ -41,7 +41,8 @@ class SiteShipper {
   /// Ships every key whose published epoch advanced past the last
   /// shipped one (all published keys when `force`). Never-published
   /// keys (epoch 0) are always skipped — there is nothing to say.
-  /// Returns the number of frames handed to `sink`.
+  /// Returns the number of frames `sink` accepted; only those count as
+  /// shipped.
   std::size_t Ship(const Sink& sink, bool force = false);
 
   std::uint32_t site_id() const { return site_id_; }

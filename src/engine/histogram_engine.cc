@@ -440,12 +440,12 @@ std::vector<std::string> HistogramEngine::Keys() const {
 }
 
 EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
-                                                HistogramModel model,
+                                                const HistogramModel& model,
                                                 std::uint64_t watermark) {
   KeyState& state = *FindOrCreateKey(key);
   std::lock_guard<std::mutex> publish_lock(state.publish_mu);
-  return PublishTail(state, std::move(model), watermark, "external",
-                     trace_.NowNs(), nullptr);
+  return PublishTail(state, model, watermark, "external", trace_.NowNs(),
+                     nullptr);
 }
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
@@ -952,19 +952,17 @@ EngineSnapshot HistogramEngine::Publish(
   const std::uint64_t exported_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
-  HistogramModel merged = state.merger.MergeAndReduce(
-      models, state.merged_buckets.load(std::memory_order_relaxed),
-      distributed::ReduceMode::kPieces);
+  const HistogramModel merged = state.merger.MergeAndReduce(
+      models, state.merged_buckets.load(std::memory_order_relaxed));
   const std::uint64_t merged_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
   const ShardStages stages{exported_ns, merged_ns};
-  return PublishTail(state, std::move(merged), watermark, trigger, start_ns,
-                     &stages);
+  return PublishTail(state, merged, watermark, trigger, start_ns, &stages);
 }
 
 EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
-                                            HistogramModel model,
+                                            const HistogramModel& model,
                                             std::uint64_t watermark,
                                             const char* trigger,
                                             std::uint64_t start_ns,
@@ -974,8 +972,8 @@ EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
   // envelope is unchanged.
   const std::uint64_t epoch =
       state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto versioned = std::make_shared<const VersionedModel>(
-      std::move(model), epoch, watermark);
+  auto versioned =
+      std::make_shared<const VersionedModel>(model, epoch, watermark);
   state.published.store(versioned, std::memory_order_release);
   // Lease validation stamp, bumped strictly AFTER the pointer swap: a
   // reader that acquire-loads the new version is guaranteed to observe

@@ -214,16 +214,20 @@ class HistogramEngine {
   /// enumeration, not a query primitive.
   std::vector<std::string> Keys() const;
 
-  /// Publishes `model` verbatim as `key`'s next epoch, creating the key
-  /// if needed — the distributed tier's entry point: the aggregator's
+  /// Publishes `model` as `key`'s next epoch, creating the key if
+  /// needed — the distributed tier's entry point: the aggregator's
   /// merged global view enters the normal publish tail (arena compile,
   /// epoch bump, atomic swap, lease invalidation), so readers ride the
   /// compiled-snapshot + KeyHandle fast path with no idea the model
-  /// came off the wire. `watermark` is recorded on the snapshot
-  /// verbatim (for an aggregator: the summed site watermarks).
+  /// came off the wire. The snapshot keeps the model's pieces exactly
+  /// (same estimates) but not its bucket grouping: model() reads it
+  /// back as one single-piece bucket per piece. `watermark` is recorded
+  /// on the snapshot verbatim (for an aggregator: the summed site
+  /// watermarks).
   /// Serializes with other publications of the key; shard buffers and
   /// ingest counters are untouched (external keys usually have none).
-  EngineSnapshot PublishExternal(std::string_view key, HistogramModel model,
+  EngineSnapshot PublishExternal(std::string_view key,
+                                 const HistogramModel& model,
                                  std::uint64_t watermark = 0);
 
   /// Layers per-key overrides over the global EngineOptions for `key`
@@ -450,7 +454,7 @@ class HistogramEngine {
   // version bump, publish counters, latency, and trace. `stages` is null
   // for an external model, which leaves published_at (the ingest
   // watermark) alone and traces the publish event only.
-  EngineSnapshot PublishTail(KeyState& state, HistogramModel model,
+  EngineSnapshot PublishTail(KeyState& state, const HistogramModel& model,
                              std::uint64_t watermark, const char* trigger,
                              std::uint64_t start_ns,
                              const ShardStages* stages);

@@ -150,7 +150,6 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
       }
     }
   }
-  applied_ops_.fetch_add(batch.size(), std::memory_order_relaxed);
 }
 
 void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,

@@ -1,15 +1,16 @@
 // Immutable engine snapshots: the read side of the concurrent engine.
 //
-// A snapshot is a HistogramModel, the epoch at which it was published,
-// and the model's CompiledSnapshot arena: contiguous border / prefix-CDF
-// arrays that answer EstimateRange with two branch-free lower_bound
-// lookups. Every snapshot carries its arena — the implicit epoch-0 empty
-// view included — so the arena is the one read path; the model stays
-// for consumers that need pieces (merging, KS scoring). The engine
-// publishes snapshots by atomically swapping a shared_ptr, so a reader's
-// EngineSnapshot is a stable view: it stays valid and unchanged for as
-// long as the reader holds it, no matter how many updates or newer
-// publications happen concurrently.
+// A snapshot is one compiled arena (CompiledSnapshot: contiguous border /
+// prefix-CDF arrays that answer EstimateRange with two branch-free
+// lower_bound lookups), the epoch at which it was published, and the
+// update watermark it covers. The arena is the only form a published
+// snapshot holds — the implicit epoch-0 empty view included — so it is
+// the one read path; consumers that need pieces (KS scoring, tests)
+// rebuild a model from it with model(). The engine publishes snapshots
+// by atomically swapping a shared_ptr, so a reader's EngineSnapshot is a
+// stable view: it stays valid and unchanged for as long as the reader
+// holds it, no matter how many updates or newer publications happen
+// concurrently.
 //
 // Estimation here touches no locks and allocates nothing: queries read
 // the arena directly, with no per-call estimator object to construct.
@@ -26,19 +27,17 @@
 
 namespace dynhist::engine {
 
-/// A published model together with its publication epoch and its
-/// compiled arena. Epoch 0 is the implicit empty snapshot a key has
-/// before its first publication.
+/// A published model's compiled arena together with its publication
+/// epoch. Epoch 0 is the implicit empty snapshot a key has before its
+/// first publication.
 struct VersionedModel {
-  /// Compiles `m` into `compiled`: a VersionedModel cannot exist without
-  /// its arena, so readers never branch on whether one is attached.
-  VersionedModel(HistogramModel m, std::uint64_t e, std::uint64_t w)
-      : model(std::move(m)),
-        epoch(e),
-        watermark(w),
-        compiled(CompiledSnapshot::Compile(model)) {}
+  /// Compiles `m`; the model itself is not kept.
+  VersionedModel(const HistogramModel& m, std::uint64_t e, std::uint64_t w)
+      : compiled(CompiledSnapshot::Compile(m)), epoch(e), watermark(w) {}
 
-  HistogramModel model;
+  /// The published model compiled to its flat prefix-CDF arena.
+  CompiledSnapshot compiled;
+
   std::uint64_t epoch = 0;
 
   /// Updates (per the key's accepted-update counter) this publication
@@ -47,16 +46,10 @@ struct VersionedModel {
   /// prefix a snapshot reflects; coalesced publish requests all land in
   /// one publication whose watermark is the newest of them.
   std::uint64_t watermark = 0;
-
-  /// `model` compiled to its flat prefix-CDF arena; answers are
-  /// bit-identical to the model's by the CompiledSnapshot parity
-  /// contract.
-  CompiledSnapshot compiled;
 };
 
 /// The epoch-0 view every unknown or never-published key reads: one
-/// process-wide empty model and arena, so handing it out allocates
-/// nothing.
+/// process-wide empty arena, so handing it out allocates nothing.
 inline const std::shared_ptr<const VersionedModel>& EmptyVersionedModel() {
   static const std::shared_ptr<const VersionedModel> empty =
       std::make_shared<const VersionedModel>(HistogramModel(), 0, 0);
@@ -79,16 +72,20 @@ class EngineSnapshot {
   /// Accepted-update count this snapshot covers (see VersionedModel).
   std::uint64_t watermark() const { return state_->watermark; }
 
-  /// The underlying immutable model.
-  const HistogramModel& model() const { return state_->model; }
+  /// The published pieces as a model, rebuilt from the arena: one
+  /// single-piece bucket per piece, {left, right, count} bit-identical to
+  /// what the publisher merged (its bucket grouping is flattened). O(pieces)
+  /// and allocating — for KS scoring and tests, not the query path.
+  HistogramModel model() const { return state_->compiled.ToModel(); }
 
   /// The flat query arena compiled at publish time (empty for the
   /// epoch-0 view). Exposed for the parity tests and as the distributed
   /// tier's zero-copy wire payload.
   const CompiledSnapshot& compiled() const { return state_->compiled; }
 
-  /// Total mass the snapshot believes the key holds.
-  double TotalCount() const { return state_->model.TotalCount(); }
+  /// Total mass the snapshot believes the key holds; bit-identical to
+  /// model().TotalCount().
+  double TotalCount() const { return state_->compiled.TotalCount(); }
 
   /// Estimated number of tuples with lo <= A <= hi.
   double EstimateRange(std::int64_t lo, std::int64_t hi) const {
@@ -110,7 +107,7 @@ class EngineSnapshot {
 
  private:
   double Fraction(double cardinality) const {
-    const double total = state_->model.TotalCount();
+    const double total = TotalCount();
     return total > 0.0 ? cardinality / total : 0.0;
   }
 

@@ -12,17 +12,17 @@
 // HistogramModel (piece-walk binary search) or a CompiledSnapshot (the
 // flat prefix-CDF arena built at publish time; branch-free lower_bound).
 // Construct from whichever you hold — answers are bit-identical by the
-// CompiledSnapshot parity contract. An engine snapshot always carries
-// its arena, so wrap EngineSnapshot::compiled(); single-threaded users
-// can compile any model once (CompiledSnapshot::Compile) to get the
-// engine's fast query path without an engine.
+// CompiledSnapshot parity contract. An engine snapshot holds only its
+// arena, so wrap EngineSnapshot::compiled(); single-threaded users can
+// compile any model once (CompiledSnapshot::Compile) to get the engine's
+// fast query path without an engine. Every arena is queryable — a
+// default-constructed one is the empty arena.
 
 #ifndef DYNHIST_ESTIMATE_SELECTIVITY_H_
 #define DYNHIST_ESTIMATE_SELECTIVITY_H_
 
 #include <cstdint>
 
-#include "src/common/check.h"
 #include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/model.h"
 
@@ -35,11 +35,9 @@ class SelectivityEstimator {
   explicit SelectivityEstimator(const HistogramModel& model)
       : model_(&model), compiled_(nullptr) {}
 
-  /// Arena backend; `compiled` must be attached.
+  /// Arena backend.
   explicit SelectivityEstimator(const CompiledSnapshot& compiled)
-      : model_(nullptr), compiled_(&compiled) {
-    DH_CHECK(compiled.attached());
-  }
+      : model_(nullptr), compiled_(&compiled) {}
 
   /// True when queries run on the flat arena rather than the piece walk.
   bool compiled() const { return compiled_ != nullptr; }

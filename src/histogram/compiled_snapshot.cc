@@ -1,11 +1,7 @@
 #include "src/histogram/compiled_snapshot.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-
-#include "src/common/check.h"
+#include <utility>
 
 namespace dynhist {
 namespace compiled_internal {
@@ -79,105 +75,23 @@ bool SimdActive() { return kUseAvx2; }
 
 }  // namespace compiled_internal
 
-namespace {
+CompiledSnapshot::CompiledSnapshot()
+    : CompiledSnapshot(std::vector<HistogramModel::Piece>()) {}
 
-constexpr std::size_t kLine = 64;  // cache-line alignment of the arena
-
-// Doubles reserved for the rights array so the row block starts on its
-// own cache line.
-std::size_t RightsSpan(std::size_t n) {
-  return (n + 7) & ~std::size_t{7};
-}
-
-std::size_t ArenaBytes(std::size_t n) {
-  const std::size_t doubles =
-      RightsSpan(n) + (n + 1) * (sizeof(CompiledSnapshot::Row) / sizeof(double));
-  return (doubles * sizeof(double) + kLine - 1) & ~(kLine - 1);
-}
-
-}  // namespace
-
-CompiledSnapshot::~CompiledSnapshot() { Reset(); }
-
-void CompiledSnapshot::Reset() {
-  std::free(storage_);
-  storage_ = nullptr;
-  rights_ = nullptr;
-  rows_ = nullptr;
-  n_ = 0;
-  total_ = 0.0;
-  attached_ = false;
-}
-
-CompiledSnapshot::CompiledSnapshot(CompiledSnapshot&& other) noexcept
-    : storage_(other.storage_),
-      rights_(other.rights_),
-      rows_(other.rows_),
-      n_(other.n_),
-      total_(other.total_),
-      attached_(other.attached_) {
-  other.storage_ = nullptr;
-  other.rights_ = nullptr;
-  other.rows_ = nullptr;
-  other.n_ = 0;
-  other.total_ = 0.0;
-  other.attached_ = false;
-}
-
-CompiledSnapshot& CompiledSnapshot::operator=(
-    CompiledSnapshot&& other) noexcept {
-  if (this != &other) {
-    Reset();
-    storage_ = other.storage_;
-    rights_ = other.rights_;
-    rows_ = other.rows_;
-    n_ = other.n_;
-    total_ = other.total_;
-    attached_ = other.attached_;
-    other.storage_ = nullptr;
-    other.rights_ = nullptr;
-    other.rows_ = nullptr;
-    other.n_ = 0;
-    other.total_ = 0.0;
-    other.attached_ = false;
-  }
-  return *this;
-}
-
-CompiledSnapshot::CompiledSnapshot(const CompiledSnapshot& other)
-    : n_(other.n_), total_(other.total_), attached_(other.attached_) {
-  if (other.storage_ == nullptr) return;
-  const std::size_t bytes = ArenaBytes(n_);
-  storage_ = std::aligned_alloc(kLine, bytes);
-  DH_CHECK(storage_ != nullptr);
-  std::memcpy(storage_, other.storage_, bytes);
-  auto* base = static_cast<double*>(storage_);
-  rights_ = base;
-  rows_ = reinterpret_cast<const Row*>(base + RightsSpan(n_));
-}
-
-CompiledSnapshot& CompiledSnapshot::operator=(const CompiledSnapshot& other) {
-  if (this != &other) *this = CompiledSnapshot(other);
-  return *this;
-}
-
-CompiledSnapshot CompiledSnapshot::Compile(const HistogramModel& model) {
-  CompiledSnapshot c;
-  const std::vector<HistogramModel::Piece>& pieces = model.pieces();
-  const std::size_t n = pieces.size();
-  const std::size_t bytes = ArenaBytes(n);
-  c.storage_ = std::aligned_alloc(kLine, bytes);
-  DH_CHECK(c.storage_ != nullptr);
-  std::memset(c.storage_, 0, bytes);
-  auto* base = static_cast<double*>(c.storage_);
-  double* rights = base;
-  Row* rows = reinterpret_cast<Row*>(base + RightsSpan(n));
+CompiledSnapshot::CompiledSnapshot(
+    const std::vector<HistogramModel::Piece>& pieces)
+    : n_(pieces.size()) {
+  // Rights lines, then ceil((n + 1) rows * 4 doubles / 8) row lines;
+  // value-initialized, so the padding is zero.
+  lines_.resize(RightsSpan(n_) / 8 + (n_ + 2) / 2);
+  auto* rights = reinterpret_cast<double*>(lines_.data());
+  auto* rows = reinterpret_cast<Row*>(rights + RightsSpan(n_));
 
   // Prefix masses accumulate in piece order — the same summation the
   // model's constructor performs — so prefix and total are bit-identical
   // to the piece-walk path's.
   double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     const HistogramModel::Piece& p = pieces[i];
     rights[i] = p.right;
     rows[i] = Row{p.left, p.count, p.right - p.left, acc};
@@ -185,20 +99,24 @@ CompiledSnapshot CompiledSnapshot::Compile(const HistogramModel& model) {
   }
   // Sentinel: lookups past the last border read total mass with zero
   // in-piece contribution (count 0 over a nonzero width).
-  rows[n] = Row{n > 0 ? pieces[n - 1].right : 0.0, 0.0, 1.0, acc};
+  rows[n_] = Row{n_ > 0 ? pieces[n_ - 1].right : 0.0, 0.0, 1.0, acc};
+}
 
-  c.rights_ = rights;
-  c.rows_ = rows;
-  c.n_ = n;
-  c.total_ = acc;
-  c.attached_ = true;
-  return c;
+HistogramModel CompiledSnapshot::ToModel() const {
+  const double* rights = borders();
+  const Row* r = rows();
+  std::vector<HistogramModel::Piece> pieces;
+  pieces.reserve(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    pieces.push_back({r[i].left, rights[i], r[i].count});
+  }
+  return HistogramModel::FromSimpleBuckets(std::move(pieces));
 }
 
 double CompiledSnapshot::CdfMass(double x) const {
-  if (n_ == 0) return 0.0;  // absent or empty support
-  const std::size_t i = compiled_internal::UpperBound(rights_, n_, x);
-  const Row& r = rows_[i];
+  if (n_ == 0) return 0.0;  // empty support
+  const std::size_t i = compiled_internal::UpperBound(borders(), n_, x);
+  const Row& r = rows()[i];
   // max() clamps the before-this-piece case (x <= left, including gaps
   // between pieces) to the bare prefix without a branch; inside a piece
   // the interpolation is the model's exact expression.
@@ -209,9 +127,10 @@ double CompiledSnapshot::CdfMass(double x) const {
 double CompiledSnapshot::MassInRealRange(double lo, double hi) const {
   if (n_ == 0) return 0.0;
   std::size_t ilo, ihi;
-  compiled_internal::UpperBound2(rights_, n_, lo, hi, &ilo, &ihi);
-  const Row& rl = rows_[ilo];
-  const Row& rh = rows_[ihi];
+  compiled_internal::UpperBound2(borders(), n_, lo, hi, &ilo, &ihi);
+  const Row* r = rows();
+  const Row& rl = r[ilo];
+  const Row& rh = r[ihi];
   const double mlo = rl.prefix + rl.count * std::max(lo - rl.left, 0.0) / rl.width;
   const double mhi = rh.prefix + rh.count * std::max(hi - rh.left, 0.0) / rh.width;
   return mhi - mlo;

@@ -7,7 +7,7 @@
 // path of every EstimateRange the engine serves, and snapshots are
 // immutable by design: once published, a model never changes. So the
 // publish path compiles each snapshot ONCE into this arena — a single
-// cache-aligned allocation holding
+// cache-aligned block holding
 //
 //     rights[n]      piece right borders, ascending (the search array)
 //     rows[n + 1]    {left, count, width, prefix} per piece, 32-byte rows,
@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/histogram/model.h"
 
@@ -76,9 +77,10 @@ bool SimdActive();
 
 }  // namespace compiled_internal
 
-/// The flat, immutable, query-optimized form of one HistogramModel.
-/// Default-constructed instances are "absent" (attached() == false) and
-/// answer 0 everywhere; Compile() always yields an attached arena.
+/// The flat, immutable, query-optimized form of one HistogramModel. A
+/// plain value: copies are deep, moves steal the arena (a moved-from
+/// instance may only be assigned or destroyed), and a default-constructed
+/// instance is the empty arena — identical to Compile(HistogramModel()).
 class CompiledSnapshot {
  public:
   /// One piece's payload row plus the running prefix mass. 32 bytes; the
@@ -92,29 +94,29 @@ class CompiledSnapshot {
     double prefix = 0.0;  ///< mass strictly left of `left`
   };
 
-  CompiledSnapshot() = default;
-  ~CompiledSnapshot();
-
-  CompiledSnapshot(const CompiledSnapshot& other);
-  CompiledSnapshot& operator=(const CompiledSnapshot& other);
-  CompiledSnapshot(CompiledSnapshot&& other) noexcept;
-  CompiledSnapshot& operator=(CompiledSnapshot&& other) noexcept;
+  /// The empty arena: no pieces, answers 0 everywhere.
+  CompiledSnapshot();
 
   /// Compiles `model` into a fresh arena. O(pieces) time and one
-  /// allocation; compiling an empty model yields an attached arena that
-  /// answers 0 everywhere.
-  static CompiledSnapshot Compile(const HistogramModel& model);
+  /// allocation.
+  static CompiledSnapshot Compile(const HistogramModel& model) {
+    return CompiledSnapshot(model.pieces());
+  }
 
-  /// False for default-constructed (absent) instances.
-  bool attached() const { return attached_; }
+  /// The arena's pieces as a model: one single-piece bucket per row, with
+  /// {left, right, count} bit-identical to the compiled model's pieces.
+  /// The source's bucket grouping and `singular` flags are not kept.
+  /// O(pieces) and allocating — a cold-path accessor.
+  HistogramModel ToModel() const;
 
   std::size_t NumPieces() const { return n_; }
 
-  /// Total mass; bit-identical to the source model's TotalCount().
-  double TotalCount() const { return total_; }
+  /// Total mass (the sentinel's prefix); bit-identical to the source
+  /// model's TotalCount().
+  double TotalCount() const { return rows()[n_].prefix; }
 
   /// Mass strictly left of x — HistogramModel::CdfMass, one branch-free
-  /// search. Absent/empty arenas return 0.
+  /// search. Empty arenas return 0.
   double CdfMass(double x) const;
 
   /// Mass in the real interval [lo, hi); requires lo <= hi.
@@ -127,23 +129,41 @@ class CompiledSnapshot {
   /// Estimated points with value exactly v.
   double EstimatePoint(std::int64_t v) const { return EstimateRange(v, v); }
 
-  /// Zero-copy views of the arena (wire-format seed for the distributed
-  /// tier): `borders()` is the n ascending right borders the search runs
-  /// over, `rows()` the n + 1 payload rows. Null when absent.
-  const double* borders() const { return rights_; }
-  const Row* rows() const { return rows_; }
+  /// Zero-copy views of the arena (the distributed tier's wire payload):
+  /// `borders()` is the n ascending right borders the search runs over,
+  /// `rows()` the n + 1 payload rows.
+  const double* borders() const {
+    return reinterpret_cast<const double*>(lines_.data());
+  }
+  const Row* rows() const {
+    return reinterpret_cast<const Row*>(borders() + RightsSpan(n_));
+  }
+
+  /// Equal when the arenas hold the same bytes, padding included.
+  friend bool operator==(const CompiledSnapshot&,
+                         const CompiledSnapshot&) = default;
 
  private:
-  void Reset();
+  // One cache line of arena storage. The layout is [rights: n doubles,
+  // padded to a full line][rows: (n + 1) Rows, padded to a full line];
+  // the vector's allocator honours the 64-byte alignment. Byte storage
+  // (zeroed) so the doubles and Rows placed in it are objects it
+  // provides storage for.
+  struct alignas(64) Line {
+    std::byte bytes[64] = {};
+    friend bool operator==(const Line&, const Line&) = default;
+  };
 
-  // One 64-byte-aligned allocation: [rights: n doubles, padded to a full
-  // line][rows: (n + 1) Rows]. Row pointers are views into it.
-  void* storage_ = nullptr;
-  const double* rights_ = nullptr;
-  const Row* rows_ = nullptr;
+  // Doubles reserved for the rights array so the row block starts on its
+  // own cache line.
+  static constexpr std::size_t RightsSpan(std::size_t n) {
+    return (n + 7) & ~std::size_t{7};
+  }
+
+  explicit CompiledSnapshot(const std::vector<HistogramModel::Piece>& pieces);
+
+  std::vector<Line> lines_;
   std::size_t n_ = 0;
-  double total_ = 0.0;
-  bool attached_ = false;
 };
 
 }  // namespace dynhist

@@ -21,6 +21,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
+#include "src/distributed/frame.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/histogram/model.h"
@@ -82,7 +83,6 @@ TEST(UpperBoundPrimitive, MatchesStdOnRandomArraysWithDuplicates) {
 void ExpectExactParity(const HistogramModel& model, std::int64_t lo_probe,
                        std::int64_t hi_probe) {
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
-  ASSERT_TRUE(compiled.attached());
   EXPECT_EQ(compiled.TotalCount(), model.TotalCount());
   EXPECT_EQ(compiled.NumPieces(), model.pieces().size());
   for (std::int64_t v = lo_probe; v <= hi_probe; ++v) {
@@ -184,24 +184,57 @@ TEST(CompiledSnapshot, ZeroMassCoveredRangesAnswerZero) {
   EXPECT_EQ(compiled.CdfMass(25.0), model.CdfMass(25.0));
 }
 
-TEST(CompiledSnapshot, EmptyModelCompilesAttachedAndAnswersZero) {
+TEST(CompiledSnapshot, EmptyModelCompilesAndAnswersZero) {
   const CompiledSnapshot compiled =
       CompiledSnapshot::Compile(HistogramModel());
-  EXPECT_TRUE(compiled.attached());
   EXPECT_EQ(compiled.NumPieces(), 0u);
   EXPECT_EQ(compiled.TotalCount(), 0.0);
   EXPECT_EQ(compiled.CdfMass(123.0), 0.0);
   EXPECT_EQ(compiled.EstimateRange(-1000, 1000), 0.0);
   EXPECT_EQ(compiled.EstimatePoint(0), 0.0);
+  EXPECT_TRUE(compiled.ToModel().Empty());
 }
 
-TEST(CompiledSnapshot, DefaultConstructedIsAbsent) {
-  const CompiledSnapshot absent;
-  EXPECT_FALSE(absent.attached());
-  EXPECT_EQ(absent.NumPieces(), 0u);
-  EXPECT_EQ(absent.CdfMass(5.0), 0.0);
-  EXPECT_EQ(absent.EstimateRange(0, 10), 0.0);
-  EXPECT_EQ(absent.borders(), nullptr);
+TEST(CompiledSnapshot, DefaultConstructedIsTheEmptyArena) {
+  // There is no "absent" arena: a default-constructed one is exactly the
+  // compiled empty model — same bytes, same answers, same frame.
+  const CompiledSnapshot empty;
+  const CompiledSnapshot compiled =
+      CompiledSnapshot::Compile(HistogramModel());
+  EXPECT_EQ(empty, compiled);
+  EXPECT_EQ(empty.NumPieces(), 0u);
+  EXPECT_EQ(empty.TotalCount(), 0.0);
+  EXPECT_EQ(empty.CdfMass(5.0), 0.0);
+  EXPECT_EQ(empty.EstimateRange(0, 10), 0.0);
+  ASSERT_NE(empty.rows(), nullptr);
+  const CompiledSnapshot::Row sentinel = empty.rows()[0];
+  EXPECT_EQ(sentinel.left, 0.0);
+  EXPECT_EQ(sentinel.count, 0.0);
+  EXPECT_EQ(sentinel.width, 1.0);
+  EXPECT_EQ(sentinel.prefix, 0.0);
+  distributed::FrameHeader header;
+  header.key = "k";
+  EXPECT_EQ(distributed::EncodeFrame(header, empty),
+            distributed::EncodeFrame(header, HistogramModel()));
+}
+
+TEST(CompiledSnapshot, ToModelRebuildsPiecesBitForBit) {
+  // Fractional borders, a gap, a zero-count piece, and multi-piece and
+  // singular buckets: the rebuilt model has the same pieces, one
+  // single-piece bucket each, and the same total.
+  const HistogramModel model(
+      {{0.0, 1.0, 3.0}, {1.0, 2.5, 0.0}, {4.125, 7.0, 11.0}, {7.0, 8.0, 2.0}},
+      {{0, 2, false}, {2, 1, false}, {3, 1, true}});
+  const HistogramModel rebuilt = CompiledSnapshot::Compile(model).ToModel();
+  EXPECT_EQ(rebuilt.pieces(), model.pieces());
+  ASSERT_EQ(rebuilt.NumBuckets(), model.NumPieces());
+  for (std::size_t b = 0; b < rebuilt.NumBuckets(); ++b) {
+    EXPECT_EQ(rebuilt.buckets()[b].num_pieces, 1u);
+    EXPECT_FALSE(rebuilt.buckets()[b].singular);
+  }
+  EXPECT_EQ(rebuilt.TotalCount(), model.TotalCount());
+  EXPECT_EQ(CompiledSnapshot::Compile(rebuilt),
+            CompiledSnapshot::Compile(model));
 }
 
 TEST(CompiledSnapshot, OutOfSupportAndInvertedRanges) {
@@ -226,7 +259,7 @@ TEST(CompiledSnapshot, CopyAndMovePreserveAnswers) {
   const double want = original.EstimateRange(1, 8);
 
   CompiledSnapshot copy(original);
-  EXPECT_TRUE(copy.attached());
+  EXPECT_EQ(copy, original);
   EXPECT_EQ(copy.EstimateRange(1, 8), want);
   EXPECT_NE(copy.borders(), original.borders());  // distinct arenas
 
@@ -235,9 +268,8 @@ TEST(CompiledSnapshot, CopyAndMovePreserveAnswers) {
   EXPECT_EQ(assigned.EstimateRange(1, 8), want);
 
   CompiledSnapshot moved(std::move(original));
-  EXPECT_TRUE(moved.attached());
+  EXPECT_EQ(moved, copy);
   EXPECT_EQ(moved.EstimateRange(1, 8), want);
-  EXPECT_FALSE(original.attached());  // NOLINT: moved-from is detached
 
   assigned = std::move(moved);
   EXPECT_EQ(assigned.EstimateRange(1, 8), want);

@@ -105,8 +105,7 @@ TEST_F(LoopbackTest, SiteEnginesBitIdenticalAndReshipIsNoOp) {
       models.push_back(std::move(model));
     }
     SnapshotMerger merger;
-    const HistogramModel merged =
-        merger.MergeAndReduce(models, 64, ReduceMode::kPieces);
+    const HistogramModel merged = merger.MergeAndReduce(models, 64);
     const CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
     Rng rng(99);
     for (int q = 0; q < 300; ++q) {
@@ -191,8 +190,7 @@ TEST_F(LoopbackTest, AdversarialFractionalBordersBitIdentical) {
   }
 
   SnapshotMerger merger;
-  const HistogramModel merged =
-      merger.MergeAndReduce(site_models, 64, ReduceMode::kPieces);
+  const HistogramModel merged = merger.MergeAndReduce(site_models, 64);
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(merged);
   for (std::int64_t lo = 0; lo < 1000; lo += 13) {
     for (const std::int64_t width : {0, 7, 100, 555}) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/distributed/frame.h"
 #include "src/distributed/site.h"
+#include "src/distributed/site_shipper.h"
+#include "src/engine/histogram_engine.h"
 #include "src/histogram/budget.h"
 #include "src/histogram/ssbm.h"
 #include "src/metrics/ks.h"
@@ -124,6 +131,34 @@ TEST(GlobalHistogramTest, SingleSiteDegeneratesGracefully) {
       sites, GlobalStrategy::kHistogramThenUnion, 250.0);
   const FrequencyVector all = UnionData(sites);
   EXPECT_LT(KsStatistic(all, model), 0.15);
+}
+
+TEST(SiteShipperTest, FrameTheSinkRefusesStaysPending) {
+  engine::EngineOptions options;
+  options.snapshot_every = 0;
+  engine::HistogramEngine engine(options);
+  engine.Insert("a", 1);
+  engine.Insert("b", 2);
+  engine.RefreshAll();
+  SiteShipper shipper(&engine, /*site_id=*/3);
+
+  // The connection dies on the first frame: nothing counts as shipped.
+  EXPECT_EQ(shipper.Ship([](std::string_view) { return false; }), 0u);
+  EXPECT_EQ(shipper.frames_shipped(), 0u);
+  EXPECT_EQ(shipper.bytes_shipped(), 0u);
+
+  // The next unforced round re-sends the refused key, then the rest.
+  std::vector<std::string> keys;
+  const SiteShipper::Sink sink = [&](std::string_view frame) {
+    DecodedFrame decoded;
+    EXPECT_EQ(DecodeFrame(frame, &decoded), FrameError::kOk);
+    keys.push_back(decoded.header.key);
+    return true;
+  };
+  EXPECT_EQ(shipper.Ship(sink), 2u);
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(shipper.frames_shipped(), 2u);
+  EXPECT_EQ(shipper.Ship(sink), 0u);  // nothing left pending
 }
 
 }  // namespace

@@ -12,7 +12,10 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/data/frequency_vector.h"
+#include "src/data/update_stream.h"
+#include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
+#include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/metrics/ks.h"
@@ -285,7 +288,7 @@ TEST(HistogramEngineTest, BackgroundThreadPublishesWithoutManualRefresh) {
 TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
   HistogramEngine engine(TestOptions());
   const EngineSnapshot empty = engine.Snapshot(kKey);  // epoch 0
-  EXPECT_TRUE(empty.compiled().attached());
+  EXPECT_EQ(empty.compiled(), CompiledSnapshot());
   EXPECT_EQ(empty.compiled().NumPieces(), 0u);
   for (const std::int64_t v : ZipfValues(5'000, 21)) engine.Insert(kKey, v);
   const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
@@ -394,6 +397,69 @@ TEST(HistogramEngineTest, PublishExternalServesTheGivenModel) {
   EXPECT_EQ(second.epoch(), 2u);
   EXPECT_EQ(engine.Snapshot("ext.key").watermark(), 78u);
   EXPECT_EQ(engine.EstimateRange("ext.key", 0, 4), 7.0);
+}
+
+TEST(HistogramEngineTest, PublishExternalFlattensBucketGrouping) {
+  // A snapshot holds only its compiled arena, so a model with multi-piece
+  // and singular buckets is served with exactly its pieces and estimates;
+  // the bucket grouping is flattened to one single-piece bucket per piece.
+  HistogramEngine engine(TestOptions());
+  const HistogramModel model({{0.0, 4.5, 9.0},
+                              {4.5, 10.0, 3.0},
+                              {10.0, 11.0, 7.0},
+                              {20.0, 26.5, 12.0}},
+                             {{0, 2, false}, {2, 1, true}, {3, 1, false}});
+  const EngineSnapshot snap =
+      engine.PublishExternal("grouped", model, /*watermark=*/5);
+  const HistogramModel served = engine.Snapshot("grouped").model();
+  EXPECT_EQ(served.pieces(), model.pieces());
+  EXPECT_EQ(served.NumBuckets(), model.NumPieces());
+  EXPECT_EQ(snap.TotalCount(), model.TotalCount());
+  for (std::int64_t lo = -2; lo <= 28; ++lo) {
+    for (const std::int64_t width : {0, 3, 11}) {
+      const double want = model.EstimateRange(lo, lo + width);
+      EXPECT_EQ(engine.EstimateRange("grouped", lo, lo + width), want);
+      EXPECT_EQ(served.EstimateRange(lo, lo + width), want);
+    }
+  }
+}
+
+TEST(HistogramEngineTest, SnapshotModelIsTheMergerOutputForEveryBackend) {
+  // model() rebuilds the published pieces from the arena; they must be
+  // the merger's output bit for bit, and TotalCount() the rebuilt total.
+  // The replica is a lone EngineShard fed the same op sequence: with one
+  // shard every op reaches shard 0 in arrival order.
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo,
+        ShardHistogramKind::kStFeedback}) {
+    EngineOptions options = TestOptions();
+    options.shards = 1;
+    options.kind = kind;
+    HistogramEngine engine(options);
+    EngineShard replica(options);
+    for (const std::int64_t v : ZipfValues(4'000, 31)) {
+      engine.Insert(kKey, v);
+      replica.Push(UpdateOp::Insert(v));
+    }
+    Rng rng(8);
+    for (int i = 0; i < 200; ++i) {
+      const std::int64_t lo = rng.UniformInt(0, kDomain - 50);
+      const std::int64_t hi = lo + rng.UniformInt(0, 49);
+      const double actual = static_cast<double>(rng.UniformInt(0, 300));
+      engine.RecordFeedback(kKey, lo, hi, actual);
+      replica.Push(UpdateOp::Feedback(lo, hi, actual));
+    }
+    const EngineSnapshot snap = engine.RefreshSnapshot(kKey);
+    distributed::SnapshotMerger merger;
+    const HistogramModel want =
+        merger.MergeAndReduce({replica.ExportModel()}, options.merged_buckets);
+    const HistogramModel got = snap.model();
+    ASSERT_FALSE(got.Empty()) << static_cast<int>(kind);
+    EXPECT_EQ(got.pieces(), want.pieces()) << static_cast<int>(kind);
+    EXPECT_EQ(snap.TotalCount(), got.TotalCount()) << static_cast<int>(kind);
+    EXPECT_EQ(snap.TotalCount(), want.TotalCount()) << static_cast<int>(kind);
+  }
 }
 
 TEST(HistogramEngineTest, PublishExternalCoexistsWithKeyHandles) {

@@ -141,8 +141,8 @@ TEST(FrameCodecTest, EmptyModelRoundTrips) {
   EXPECT_TRUE(decoded.pieces.empty());
   EXPECT_EQ(decoded.total, 0.0);
   EXPECT_TRUE(decoded.ToModel().Empty());
-  // An absent CompiledSnapshot (never-published key) also encodes as
-  // the empty frame.
+  // A default-constructed CompiledSnapshot is the empty arena, so it
+  // encodes as the same empty frame.
   EXPECT_EQ(EncodeFrame(TestHeader(), CompiledSnapshot()), frame);
 }
 

@@ -19,12 +19,15 @@
 #include "src/histogram/histogram.h"
 #include "src/histogram/ssbm.h"
 #include "src/metrics/ks.h"
+#include "tests/merge_reference.h"
 #include "tests/test_util.h"
 
 namespace dynhist::distributed {
 namespace {
 
 using Piece = HistogramModel::Piece;
+using reference::ReduceCellsWithSsbm;
+using reference::SuperimposeLegacy;
 
 // Replays a Zipf(z) insert stream (optionally with interleaved deletes of
 // previously inserted values) into `histogram` and returns its model.
@@ -177,7 +180,7 @@ TEST(PieceSweepSuperimposeTest, EmptyAndSingleInputs) {
 TEST(PieceSweepSuperimposeTest, DegenerateInputsPinnedAcrossThePipeline) {
   // PR 9 regression pins: a site fleet that has published nothing yet
   // (or whose engines are all empty) flows through the whole merge
-  // pipeline — superposition, both reduction modes, the merger — and
+  // pipeline — superposition, both reductions, the merger — and
   // must come out as a well-formed empty model, never an abort. The
   // aggregator leans on this when frames race ahead of data.
   EXPECT_TRUE(Superimpose({HistogramModel(), HistogramModel()}).Empty());
@@ -185,25 +188,21 @@ TEST(PieceSweepSuperimposeTest, DegenerateInputsPinnedAcrossThePipeline) {
   EXPECT_TRUE(
       SuperimposeLegacy({HistogramModel(), HistogramModel()}).Empty());
 
-  // Reducing an empty composite is a no-op in both modes.
-  EXPECT_TRUE(
-      ReduceWithSsbm(HistogramModel(), 64, ReduceMode::kPieces).Empty());
-  EXPECT_TRUE(
-      ReduceWithSsbm(HistogramModel(), 64, ReduceMode::kCells).Empty());
+  // Reducing an empty composite is a no-op in both reductions.
+  EXPECT_TRUE(ReduceWithSsbm(HistogramModel(), 64).Empty());
+  EXPECT_TRUE(ReduceCellsWithSsbm(HistogramModel(), 64).Empty());
 
   // The stateful merger (the aggregator's actual entry point).
   SnapshotMerger merger;
   EXPECT_TRUE(merger.Superimpose({}).Empty());
-  EXPECT_TRUE(merger.MergeAndReduce({}, 64, ReduceMode::kPieces).Empty());
-  EXPECT_TRUE(merger.MergeAndReduce({}, 64, ReduceMode::kCells).Empty());
-  EXPECT_TRUE(merger
-                  .MergeAndReduce({HistogramModel(), HistogramModel()}, 64,
-                                  ReduceMode::kPieces)
-                  .Empty());
+  EXPECT_TRUE(merger.MergeAndReduce({}, 64).Empty());
+  EXPECT_TRUE(ReduceCellsWithSsbm(merger.Superimpose({}), 64).Empty());
+  EXPECT_TRUE(
+      merger.MergeAndReduce({HistogramModel(), HistogramModel()}, 64).Empty());
   // A merger that just saw empties still merges real input correctly.
   const auto a = HistogramModel::FromSimpleBuckets({{3.0, 8.0, 2.5}});
   const HistogramModel u =
-      merger.MergeAndReduce({HistogramModel(), a}, 64, ReduceMode::kPieces);
+      merger.MergeAndReduce({HistogramModel(), a}, 64);
   EXPECT_DOUBLE_EQ(u.TotalCount(), 2.5);
   EXPECT_LT(KsBetweenModels(u, a), 1e-12);
 }
@@ -212,10 +211,8 @@ TEST(StreamingReduceTest, PiecesMatchCellsBitForBitOnCellAlignedFleet) {
   const auto models = DcShardModels(2'001, 4'000, 0.1, 11);
   const HistogramModel composite = Superimpose(models);
   for (const std::int64_t buckets : {8, 16, 32, 64}) {
-    const HistogramModel pieces =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kPieces);
-    const HistogramModel cells =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kCells);
+    const HistogramModel pieces = ReduceWithSsbm(composite, buckets);
+    const HistogramModel cells = ReduceCellsWithSsbm(composite, buckets);
     EXPECT_NEAR(pieces.TotalCount(), cells.TotalCount(),
                 1e-9 * (1.0 + cells.TotalCount()));
     EXPECT_LT(KsBetweenModels(pieces, cells), 1e-9) << buckets << " buckets";
@@ -232,10 +229,8 @@ TEST(StreamingReduceTest, PiecesTrackCellsQualityOnMixedFleet) {
   const auto models = MixedShardModels(2'001, 4'000, 0.1, 23);
   const HistogramModel composite = Superimpose(models);
   for (const std::int64_t buckets : {16, 64}) {
-    const HistogramModel pieces =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kPieces);
-    const HistogramModel cells =
-        ReduceWithSsbm(composite, buckets, ReduceMode::kCells);
+    const HistogramModel pieces = ReduceWithSsbm(composite, buckets);
+    const HistogramModel cells = ReduceCellsWithSsbm(composite, buckets);
     EXPECT_NEAR(pieces.TotalCount(), cells.TotalCount(),
                 1e-6 * (1.0 + cells.TotalCount()));
     const double ks_pieces = KsBetweenModels(pieces, composite);
@@ -247,8 +242,7 @@ TEST(StreamingReduceTest, PiecesTrackCellsQualityOnMixedFleet) {
 TEST(StreamingReduceTest, BudgetAbovePieceCountIsExact) {
   const auto a = HistogramModel::FromSimpleBuckets(
       {{0.0, 4.0, 8.0}, {4.0, 6.0, 1.0}, {9.0, 12.0, 6.0}});
-  const HistogramModel reduced =
-      ReduceWithSsbm(a, 16, ReduceMode::kPieces);
+  const HistogramModel reduced = ReduceWithSsbm(a, 16);
   EXPECT_LT(KsBetweenModels(reduced, a), 1e-12);
   EXPECT_DOUBLE_EQ(reduced.TotalCount(), a.TotalCount());
 }
@@ -256,11 +250,11 @@ TEST(StreamingReduceTest, BudgetAbovePieceCountIsExact) {
 TEST(StreamingReduceTest, DropsZeroMassPieces) {
   // Zero-density support kept by Superimpose is empty space to SSBM (the
   // cell path always filtered it); the reduced support is the nonzero
-  // support under both modes.
+  // support under both reductions.
   const auto a = HistogramModel::FromSimpleBuckets(
       {{0.0, 10.0, 0.0}, {10.0, 20.0, 5.0}, {20.0, 30.0, 0.0}});
-  const HistogramModel pieces = ReduceWithSsbm(a, 4, ReduceMode::kPieces);
-  const HistogramModel cells = ReduceWithSsbm(a, 4, ReduceMode::kCells);
+  const HistogramModel pieces = ReduceWithSsbm(a, 4);
+  const HistogramModel cells = ReduceCellsWithSsbm(a, 4);
   EXPECT_DOUBLE_EQ(pieces.MinBorder(), 10.0);
   EXPECT_DOUBLE_EQ(pieces.MaxBorder(), 20.0);
   EXPECT_LT(KsBetweenModels(pieces, cells), 1e-9);
@@ -272,15 +266,12 @@ TEST(SnapshotMergerTest, ReusedMergerMatchesFreeFunctions) {
     const auto models = MixedShardModels(1'001, 2'000, 0.2, seed);
     const HistogramModel composite = merger.Superimpose(models);
     EXPECT_LT(KsBetweenModels(composite, Superimpose(models)), 1e-12);
-    const HistogramModel reduced =
-        merger.MergeAndReduce(models, 32, ReduceMode::kPieces);
-    const HistogramModel want =
-        ReduceWithSsbm(Superimpose(models), 32, ReduceMode::kPieces);
+    const HistogramModel reduced = merger.MergeAndReduce(models, 32);
+    const HistogramModel want = ReduceWithSsbm(Superimpose(models), 32);
     EXPECT_NEAR(reduced.TotalCount(), want.TotalCount(), 1e-9);
     EXPECT_LT(KsBetweenModels(reduced, want), 1e-12);
     // buckets <= 0 publishes the composite unreduced.
-    const HistogramModel unreduced =
-        merger.MergeAndReduce(models, 0, ReduceMode::kPieces);
+    const HistogramModel unreduced = merger.MergeAndReduce(models, 0);
     EXPECT_LT(KsBetweenModels(unreduced, composite), 1e-12);
   }
 }
