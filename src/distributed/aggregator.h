@@ -19,11 +19,12 @@
 // re-sends and reordered stale frames cost zero merges (the bench
 // gates this exactly).
 //
-// Telemetry: per-site frame/byte/staleness instruments plus global
-// merge/reject counters, registered in an owned MetricsRegistry and
-// rendered with the standard exposition writers. The logical counters
-// are plain atomics (the source of truth for gates); the registry
-// reads them through callbacks at scrape time.
+// Telemetry: global merge/reject counters plus per-site frame/byte/
+// staleness series, collected at scrape time and rendered with the
+// standard exposition writers. The global counters are atomics (the
+// source of truth for gates); the per-site stats are plain integers
+// under the aggregator's mutex, and a scrape takes that mutex once and
+// emits one row of a series table per site, in site-id order.
 
 #ifndef DYNHIST_DISTRIBUTED_AGGREGATOR_H_
 #define DYNHIST_DISTRIBUTED_AGGREGATOR_H_
@@ -32,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -43,7 +43,6 @@
 #include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
-#include "src/telemetry/registry.h"
 
 namespace dynhist::distributed {
 
@@ -96,8 +95,8 @@ class Aggregator {
   std::uint64_t merges() const { return merges_.load(); }
 
   /// Distinct sites / keys seen so far.
-  std::size_t NumSites() const { return num_sites_.load(); }
-  std::size_t NumKeys() const { return num_keys_.load(); }
+  std::size_t NumSites() const;
+  std::size_t NumKeys() const;
 
   /// Appends the aggregator's Prometheus exposition (per-site frame
   /// counters, staleness gauges, global merge/reject counters) to
@@ -123,32 +122,22 @@ class Aggregator {
     SnapshotMerger merger;
   };
 
-  // Per-site telemetry (atomics read by registry callbacks; pointers
-  // into site_stats_ stay valid because entries are never erased).
+  // Per-site telemetry, guarded by mu_.
   struct SiteStats {
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> frames_applied{0};
-    std::atomic<std::uint64_t> frames_duplicate{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-    std::atomic<std::uint64_t> last_frame_ns{0};  // 0 = never
+    std::uint64_t frames_received = 0;
+    std::uint64_t frames_applied = 0;
+    std::uint64_t frames_duplicate = 0;
+    std::uint64_t bytes_received = 0;
+    std::uint64_t last_frame_ns = 0;
   };
-
-  // Finds or creates the site's stats, registering its instruments on
-  // first sight. Called under mu_.
-  SiteStats& SiteStatsFor(std::uint32_t site_id);
 
   std::uint64_t NowNs() const;
 
   const Options options_;
 
-  // Registry first: callbacks hold pointers into site_stats_, and
-  // members destroy in reverse order, so the registry (and with it
-  // every callback) dies before the atomics it reads.
-  telemetry::MetricsRegistry metrics_;
-
   mutable std::mutex mu_;
   std::unordered_map<std::string, KeyEntry> keys_;
-  std::map<std::uint32_t, std::unique_ptr<SiteStats>> site_stats_;
+  std::map<std::uint32_t, SiteStats> site_stats_;
 
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_applied_{0};
@@ -156,12 +145,6 @@ class Aggregator {
   std::atomic<std::uint64_t> frames_rejected_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> merges_{0};
-  // Sizes of site_stats_ / keys_ mirrored into atomics so the scrape
-  // callbacks (which run under the registry mutex) never touch mu_ —
-  // Ingest registers instruments while holding mu_, so a callback that
-  // locked mu_ would order the two mutexes both ways.
-  std::atomic<std::size_t> num_sites_{0};
-  std::atomic<std::size_t> num_keys_{0};
 
   const std::chrono::steady_clock::time_point start_;
 

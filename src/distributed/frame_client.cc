@@ -2,33 +2,14 @@
 
 #include <unistd.h>
 
-#include <bit>
-
+#include "src/common/little_endian.h"
 #include "src/distributed/net.h"
 #include "src/distributed/wire_protocol.h"
 
 namespace dynhist::distributed {
-namespace {
 
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint64_t GetU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
-  return v;
-}
-
-}  // namespace
+using little_endian::PutU32;
+using little_endian::PutU64;
 
 FrameClient::~FrameClient() { Close(); }
 
@@ -130,7 +111,7 @@ bool FrameClient::Query(std::string_view key, std::int64_t lo,
   if (!net::RecvMessage(fd_, &reply)) return false;
   if (reply.size() != 9 || reply[0] != wire::kReplyEstimate) return false;
   if (estimate != nullptr) {
-    *estimate = std::bit_cast<double>(GetU64(reply.data() + 1));
+    *estimate = little_endian::GetF64(reply.data() + 1);
   }
   return true;
 }

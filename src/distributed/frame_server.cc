@@ -7,37 +7,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <bit>
 #include <string_view>
 #include <utility>
 
+#include "src/common/little_endian.h"
 #include "src/distributed/frame.h"
 #include "src/distributed/net.h"
 #include "src/distributed/wire_protocol.h"
 
 namespace dynhist::distributed {
-namespace {
 
-std::uint32_t GetU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::uint64_t GetU64(const char* p) {
-  return static_cast<std::uint64_t>(GetU32(p)) |
-         (static_cast<std::uint64_t>(GetU32(p + 4)) << 32);
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-}  // namespace
+using little_endian::GetU32;
+using little_endian::GetU64;
 
 FrameServer::FrameServer() : FrameServer(Options()) {}
 
@@ -267,7 +248,7 @@ void FrameServer::HandleMessage(Connection& conn,
           it != conn.handles.end() ? global.EstimateRange(it->second, lo, hi)
                                    : global.EstimateRange(key, lo, hi);
       std::string reply(1, wire::kReplyEstimate);
-      PutU64(&reply, std::bit_cast<std::uint64_t>(estimate));
+      little_endian::PutF64(&reply, estimate);
       net::AppendEnvelope(&conn.out, reply);
       return;
     }

@@ -197,27 +197,7 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
       engine_id_(NextEngineId()),
       trace_(telemetry_on_ && options.trace_capacity > 0
                  ? static_cast<std::size_t>(options.trace_capacity)
-                 : 0),
-      publish_latency_hist_(metrics_.AddHistogram(
-          "dynhist_publish_latency_ns",
-          "Publication duration (flush + merge + snapshot swap) in ns",
-          telemetry::LogBucketer::PowersOfTwo())),
-      queue_wait_hist_(metrics_.AddHistogram(
-          "dynhist_publish_queue_wait_ns",
-          "Time publish requests spent queued (enqueue to drain) in ns",
-          telemetry::LogBucketer::PowersOfTwo())),
-      ingest_batch_hist_(metrics_.AddHistogram(
-          "dynhist_ingest_batch_ops",
-          "Operations per drained shard batch",
-          telemetry::LogBucketer::PerDecade(4))),
-      coalesce_run_hist_(metrics_.AddHistogram(
-          "dynhist_coalesce_run_length",
-          "Duplicate operations collapsed per coalesced group (runs >= 2)",
-          telemetry::LogBucketer::PerDecade(4))),
-      query_latency_hist_(metrics_.AddHistogram(
-          "dynhist_query_latency_ns",
-          "Estimate-read latency in ns, sampled every 1024th query per key",
-          telemetry::LogBucketer::PowersOfTwo())) {
+                 : 0) {
   DH_CHECK(options_.shards >= 1);
   DH_CHECK(options_.batch_size >= 1);
   DH_CHECK(options_.snapshot_every >= 0);
@@ -225,20 +205,6 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
   DH_CHECK(options_.merge_workers >= 0);
   DH_CHECK(options_.publish_queue_capacity >= 0);
   DH_CHECK(options_.trace_capacity >= 0);
-  metrics_.AddCallback(
-      "dynhist_engine_publish_queue_depth",
-      "Publish requests currently queued", telemetry::MetricKind::kGauge,
-      {}, [this] { return static_cast<double>(PublishQueueDepth()); });
-  metrics_.AddCallback(
-      "dynhist_trace_events_recorded_total",
-      "Events ever recorded into the trace ring",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(trace_.recorded()); });
-  metrics_.AddCallback(
-      "dynhist_trace_events_dropped_total",
-      "Trace events overwritten before being read",
-      telemetry::MetricKind::kCounter, {},
-      [this] { return static_cast<double>(trace_.dropped()); });
   if (options_.background_interval_ms > 0) {
     background_ = std::thread([this] { BackgroundLoop(); });
   }
@@ -281,8 +247,8 @@ HistogramEngine::KeyState* HistogramEngine::FindOrCreateKey(
     if (backend) creation_options.kind = *backend;
     it->second = std::make_unique<KeyState>(
         it->first, creation_options,
-        ShardTelemetry{telemetry_on_ ? ingest_batch_hist_ : nullptr,
-                       telemetry_on_ ? coalesce_run_hist_ : nullptr});
+        ShardTelemetry{telemetry_on_ ? &ingest_batch_hist_ : nullptr,
+                       telemetry_on_ ? &coalesce_run_hist_ : nullptr});
   }
   return it->second.get();
 }
@@ -487,7 +453,7 @@ double HistogramEngine::EstimateOnState(KeyState& state,
   const bool sample = telemetry_on_ && (qn & 1023u) == 0u;
   const std::uint64_t t0 = sample ? trace_.NowNs() : 0;
   const double result = vm->compiled.EstimateRange(lo, hi);
-  if (sample) query_latency_hist_->Record(trace_.NowNs() - t0);
+  if (sample) query_latency_hist_.Record(trace_.NowNs() - t0);
   return result;
 }
 
@@ -603,9 +569,40 @@ EngineStats HistogramEngine::Stats(const KeyHandle& handle) const {
 }
 
 telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
-  // Registry instruments first, then everything read off the key states
-  // with neither the registry's mutex nor registry_mu_ held.
-  telemetry::MetricsSnapshot snapshot = metrics_.Collect();
+  // Engine-wide gauges and distributions first, then everything read off
+  // the key states with registry_mu_ released.
+  telemetry::MetricsSnapshot snapshot;
+  snapshot.samples = {
+      {"dynhist_engine_publish_queue_depth",
+       "Publish requests currently queued", kGauge, {},
+       static_cast<double>(PublishQueueDepth())},
+      {"dynhist_trace_events_recorded_total",
+       "Events ever recorded into the trace ring", kCounter, {},
+       static_cast<double>(trace_.recorded())},
+      {"dynhist_trace_events_dropped_total",
+       "Trace events overwritten before being read", kCounter, {},
+       static_cast<double>(trace_.dropped())},
+  };
+  const auto add_histogram = [&](const char* name, const char* help,
+                                 const telemetry::LogHistogram& histogram) {
+    snapshot.histograms.push_back({name, help, {}, histogram.Snapshot()});
+  };
+  add_histogram("dynhist_publish_latency_ns",
+                "Publication duration (flush + merge + snapshot swap) in ns",
+                publish_latency_hist_);
+  add_histogram("dynhist_publish_queue_wait_ns",
+                "Time publish requests spent queued (enqueue to drain) in ns",
+                queue_wait_hist_);
+  add_histogram("dynhist_ingest_batch_ops",
+                "Operations per drained shard batch", ingest_batch_hist_);
+  add_histogram(
+      "dynhist_coalesce_run_length",
+      "Duplicate operations collapsed per coalesced group (runs >= 2)",
+      coalesce_run_hist_);
+  add_histogram(
+      "dynhist_query_latency_ns",
+      "Estimate-read latency in ns, sampled every 1024th query per key",
+      query_latency_hist_);
   std::vector<KeyState*> states = KeyStates();
   const EngineStats stats = GlobalStats(states);
   for (const CounterRow& row : kCounterTable) {
@@ -796,7 +793,7 @@ bool HistogramEngine::RunOneQueuedPublish() {
         state->enqueued_at_ns.load(std::memory_order_relaxed);
     const std::uint64_t now = trace_.NowNs();
     const std::uint64_t wait = now > enqueued ? now - enqueued : 0;
-    queue_wait_hist_->Record(wait);
+    queue_wait_hist_.Record(wait);
     state->counters.queue_wait_nanos.fetch_add(wait,
                                                std::memory_order_release);
   }
@@ -991,7 +988,7 @@ EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
   BumpMax(state.counters.max_publish_nanos, nanos);
   if (telemetry_on_) {
     state.last_publish_ns.store(end_ns, std::memory_order_relaxed);
-    publish_latency_hist_->Record(nanos);
+    publish_latency_hist_.Record(nanos);
     if (trace_.enabled()) {
       const char* key = state.name.c_str();
       if (stages != nullptr) {

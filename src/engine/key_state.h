@@ -4,9 +4,8 @@
 // validates its cached epoch against KeyState::version. Everything here
 // is owned and orchestrated by HistogramEngine — the struct is an
 // implementation detail published only through the internal namespace.
-// A key registers nothing with the metrics registry: the engine's
-// collector reads these atomics (and the feedback-error histogram) at
-// scrape time.
+// A key registers no metrics: the engine's collector reads these atomics
+// (and the feedback-error histogram) at scrape time.
 //
 // Lifetime contract (what makes KeyHandle safe): KeyStates live in a
 // registry that never erases, each behind a unique_ptr, so a KeyState's

@@ -1,13 +1,17 @@
-// Text exposition of a MetricsSnapshot: Prometheus format and JSON.
+// A scrape as plain values, and its text exposition: Prometheus format
+// and JSON.
+//
+// Each instrumented owner (the engine, the aggregator) builds a
+// MetricsSnapshot at scrape time by appending its samples and histogram
+// snapshots straight off its own state, then hands it to a writer here.
 //
 // WritePrometheus renders the standard text exposition format scrapers
 // expect — `# HELP` / `# TYPE` headers per family, `name{labels} value`
 // samples, histograms as cumulative `_bucket{le="..."}` series plus
 // `_sum` and `_count`. Families are emitted in sorted-name order so the
 // output is deterministic and all series of one family stay grouped
-// (which the format requires). This writer is the seed of the
-// distributed tier's wire format: a scrape of a site's registry is
-// exactly the mergeable summary an aggregator needs.
+// (which the format requires); within a family, series keep the order
+// the owner appended them in.
 //
 // WriteJson renders the same snapshot as one self-describing JSON
 // document (scalar samples plus non-cumulative histogram buckets with
@@ -25,10 +29,44 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
-#include "src/telemetry/registry.h"
+#include "src/telemetry/log_histogram.h"
 
 namespace dynhist::telemetry {
+
+/// Metric labels, e.g. {{"key", "orders.amount"}}. Order is preserved
+/// into the exposition output.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+enum class MetricKind { kCounter, kGauge };
+
+/// One scalar sample in a collected snapshot. Names follow Prometheus
+/// conventions ([a-zA-Z_:][a-zA-Z0-9_:]*); one family may appear many
+/// times with different labels.
+struct MetricSample {
+  std::string name;
+  std::string help;
+  MetricKind kind = MetricKind::kCounter;
+  Labels labels;
+  double value = 0.0;
+};
+
+/// One histogram in a collected snapshot.
+struct HistogramSample {
+  std::string name;
+  std::string help;
+  Labels labels;
+  LogHistogramSnapshot snapshot;
+};
+
+/// Everything a scrape saw, as plain values. Samples appear in
+/// collection order; the exposition writers group them by family.
+struct MetricsSnapshot {
+  std::vector<MetricSample> samples;
+  std::vector<HistogramSample> histograms;
+};
 
 /// Appends the Prometheus text exposition of `snapshot` to `*out`.
 void WritePrometheus(const MetricsSnapshot& snapshot, std::string* out);

@@ -84,7 +84,6 @@ LogHistogram::LogHistogram(LogBucketer bucketer)
   }
 }
 
-#if DYNHIST_TELEMETRY
 void LogHistogram::Record(std::uint64_t value, std::uint64_t n) {
   if (n == 0) return;
   counts_[bucketer_.BucketFor(value)].fetch_add(n,
@@ -96,7 +95,6 @@ void LogHistogram::Record(std::uint64_t value, std::uint64_t n) {
                              prev, value, std::memory_order_relaxed)) {
   }
 }
-#endif
 
 void LogHistogram::Merge(const LogHistogram& other) {
   Merge(other.Snapshot());

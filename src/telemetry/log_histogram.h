@@ -21,19 +21,12 @@
 // same contract EngineStats documents. Snapshot() materializes a plain
 // struct for exposition, percentile math, and tests.
 //
-// Compile-time kill switch: building with -DDYNHIST_TELEMETRY=0 turns
-// Record() into an empty inline, so instrumentation sites compile to
-// nothing. The engine additionally offers a runtime switch
-// (EngineOptions::enable_telemetry) that skips the recording call sites;
-// the overhead bench compares against that mode, which exercises the
-// same no-op paths the macro removes.
+// The engine's runtime switch (EngineOptions::enable_telemetry) skips
+// the recording call sites; the overhead bench compares against that
+// mode.
 
 #ifndef DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
 #define DYNHIST_TELEMETRY_LOG_HISTOGRAM_H_
-
-#ifndef DYNHIST_TELEMETRY
-#define DYNHIST_TELEMETRY 1
-#endif
 
 #include <atomic>
 #include <bit>
@@ -110,11 +103,7 @@ class LogHistogram {
   LogHistogram& operator=(const LogHistogram&) = delete;
 
   /// Adds `value` (optionally with multiplicity `n`) to its bucket.
-#if DYNHIST_TELEMETRY
   void Record(std::uint64_t value, std::uint64_t n = 1);
-#else
-  void Record(std::uint64_t, std::uint64_t = 1) {}
-#endif
 
   /// Adds every count of `other` into this histogram. The bucketers must
   /// be identical (checked). The cross-thread aggregation primitive.

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -27,6 +29,7 @@
 #include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/model.h"
 #include "src/telemetry/exposition.h"
+#include "tests/test_util.h"
 
 namespace dynhist::distributed {
 namespace {
@@ -384,6 +387,171 @@ TEST_F(LoopbackTest, UnknownKeyQueriesCreateNothing) {
   ASSERT_TRUE(client_.Query("junk.7", 0, 9, &estimate));
   EXPECT_EQ(estimate, 30.0);
   EXPECT_EQ(server_.handles_cached(), 1u);
+}
+
+// Four site connections ship frames while another thread scrapes the
+// server's exposition: every scrape must parse, and once the shippers
+// are done every frame is accounted for under its site.
+TEST_F(LoopbackTest, ScrapesStayValidWhileSitesShip) {
+  constexpr int kSites = 4;
+  constexpr int kFramesPerSite = 60;
+  std::atomic<int> shippers_done{0};
+  std::vector<std::thread> shippers;
+  for (int t = 0; t < kSites; ++t) {
+    const auto ship_all = [&, t] {
+      FrameClient client;
+      std::string error;
+      ASSERT_TRUE(client.Connect("127.0.0.1", server_.port(), &error))
+          << error;
+      FrameHeader header;
+      header.site_id = static_cast<std::uint32_t>(10 + t);
+      for (int i = 0; i < kFramesPerSite; ++i) {
+        header.key = kKeys[i % 2];
+        header.epoch = static_cast<std::uint64_t>(i + 1);
+        header.watermark = static_cast<std::uint64_t>(i + 1);
+        Aggregator::IngestResult result = Aggregator::IngestResult::kRejected;
+        ASSERT_TRUE(client.ShipFrame(
+            EncodeFrame(header, HistogramModel::FromSimpleBuckets(
+                                    {{0.0, 4.0 + t, 8.0 + i}})),
+            &result));
+        EXPECT_EQ(result, Aggregator::IngestResult::kApplied);
+      }
+    };
+    // Counted even when an assertion cuts ship_all short, so the scrape
+    // loop below always ends.
+    shippers.emplace_back([&, ship_all] {
+      ship_all();
+      shippers_done.fetch_add(1);
+    });
+  }
+  int scrapes = 0;
+  do {
+    std::string text;
+    server_.WriteMetricsPrometheus(&text);
+    std::string error;
+    // EXPECT, not ASSERT: returning here would leave the shippers unjoined.
+    EXPECT_TRUE(telemetry::SelfCheckPrometheus(text, &error)) << error;
+    ++scrapes;
+  } while (shippers_done.load() < kSites);
+  for (std::thread& t : shippers) t.join();
+  EXPECT_GE(scrapes, 1);
+
+  const Aggregator& agg = server_.aggregator();
+  EXPECT_EQ(agg.frames_applied(),
+            static_cast<std::uint64_t>(kSites * kFramesPerSite));
+  EXPECT_EQ(agg.NumSites(), static_cast<std::size_t>(kSites));
+  EXPECT_EQ(agg.NumKeys(), 2u);
+  std::string text;
+  server_.WriteMetricsPrometheus(&text);
+  for (int t = 0; t < kSites; ++t) {
+    EXPECT_NE(text.find("dynhist_agg_frames_applied_total{site=\"" +
+                        std::to_string(10 + t) + "\"} " +
+                        std::to_string(kFramesPerSite)),
+              std::string::npos)
+        << text;
+  }
+}
+
+// A fixed frame script over a bare aggregator, sites first seen out of
+// id order (7, 2, 5), with duplicates, a stale frame and a rejected one.
+void RunAggregatorScript(Aggregator& agg) {
+  const auto ship = [&](std::uint32_t site, const char* key,
+                        std::uint64_t watermark, double count) {
+    FrameHeader header;
+    header.site_id = site;
+    header.key = key;
+    header.epoch = watermark;
+    header.watermark = watermark;
+    return agg.Ingest(EncodeFrame(
+        header, HistogramModel::FromSimpleBuckets(
+                    {{0.0, 10.0, count}, {10.0, 16.5, count / 2}})));
+  };
+  EXPECT_EQ(ship(7, "b.key", 3, 40.0), Aggregator::IngestResult::kApplied);
+  EXPECT_EQ(ship(2, "b.key", 5, 12.0), Aggregator::IngestResult::kApplied);
+  EXPECT_EQ(ship(5, "a.key", 1, 6.0), Aggregator::IngestResult::kApplied);
+  EXPECT_EQ(ship(7, "b.key", 3, 40.0), Aggregator::IngestResult::kDuplicate);
+  EXPECT_EQ(ship(2, "a.key", 2, 8.0), Aggregator::IngestResult::kApplied);
+  EXPECT_EQ(ship(2, "b.key", 4, 9.0), Aggregator::IngestResult::kDuplicate);
+  EXPECT_EQ(ship(7, "a.key", 9, 2.0), Aggregator::IngestResult::kApplied);
+  EXPECT_EQ(agg.Ingest("truncated"), Aggregator::IngestResult::kRejected);
+}
+
+// The aggregator's full series inventory: every family, type, HELP
+// text, label set and value (staleness masked: it reads a clock).
+TEST(AggregatorTelemetryTest, ExpositionInventoryIsStable) {
+  const std::vector<std::string> golden = {
+    "dynhist_agg_bytes_received_total counter dynhist_agg_bytes_received_total{site=\"2\"} 495",
+    "dynhist_agg_bytes_received_total counter dynhist_agg_bytes_received_total{site=\"5\"} 165",
+    "dynhist_agg_bytes_received_total counter dynhist_agg_bytes_received_total{site=\"7\"} 495",
+    "dynhist_agg_frames_applied_total counter dynhist_agg_frames_applied_total{site=\"2\"} 2",
+    "dynhist_agg_frames_applied_total counter dynhist_agg_frames_applied_total{site=\"5\"} 1",
+    "dynhist_agg_frames_applied_total counter dynhist_agg_frames_applied_total{site=\"7\"} 2",
+    "dynhist_agg_frames_duplicate_total counter dynhist_agg_frames_duplicate_total{site=\"2\"} 1",
+    "dynhist_agg_frames_duplicate_total counter dynhist_agg_frames_duplicate_total{site=\"5\"} 0",
+    "dynhist_agg_frames_duplicate_total counter dynhist_agg_frames_duplicate_total{site=\"7\"} 1",
+    "dynhist_agg_frames_received_total counter dynhist_agg_frames_received_total{site=\"2\"} 3",
+    "dynhist_agg_frames_received_total counter dynhist_agg_frames_received_total{site=\"5\"} 1",
+    "dynhist_agg_frames_received_total counter dynhist_agg_frames_received_total{site=\"7\"} 3",
+    "dynhist_agg_frames_rejected_total counter dynhist_agg_frames_rejected_total 1",
+    "dynhist_agg_keys gauge dynhist_agg_keys 2",
+    "dynhist_agg_merges_total counter dynhist_agg_merges_total 5",
+    "dynhist_agg_site_staleness_seconds gauge dynhist_agg_site_staleness_seconds{site=\"2\"} *",
+    "dynhist_agg_site_staleness_seconds gauge dynhist_agg_site_staleness_seconds{site=\"5\"} *",
+    "dynhist_agg_site_staleness_seconds gauge dynhist_agg_site_staleness_seconds{site=\"7\"} *",
+    "dynhist_agg_sites gauge dynhist_agg_sites 3",
+  };
+  const std::vector<std::string> golden_help = {
+    "# HELP dynhist_agg_bytes_received_total Frame bytes received",
+    "# HELP dynhist_agg_frames_applied_total Frames that advanced a (site, key) watermark",
+    "# HELP dynhist_agg_frames_duplicate_total Frames dropped because the watermark did not advance",
+    "# HELP dynhist_agg_frames_received_total Frames received from the site",
+    "# HELP dynhist_agg_frames_rejected_total Frames that failed validation (truncated/corrupt/stale format)",
+    "# HELP dynhist_agg_keys Distinct keys with at least one site slot",
+    "# HELP dynhist_agg_merges_total Superimpose+reduce+publish rounds run over the site models",
+    "# HELP dynhist_agg_site_staleness_seconds Seconds since the site's last frame arrived",
+    "# HELP dynhist_agg_sites Distinct sites that have shipped frames",
+  };
+  Aggregator agg;
+  RunAggregatorScript(agg);
+  std::string text;
+  agg.WriteMetricsPrometheus(&text);
+  std::string error;
+  EXPECT_TRUE(telemetry::SelfCheckPrometheus(text, &error)) << error;
+  EXPECT_EQ(dynhist::testing::ExpositionInventory(text), golden);
+  std::vector<std::string> help;
+  for (std::size_t pos = text.find("# HELP "); pos != std::string::npos;
+       pos = text.find("# HELP ", pos + 1)) {
+    help.push_back(text.substr(pos, text.find('\n', pos) - pos));
+  }
+  std::sort(help.begin(), help.end());
+  EXPECT_EQ(help, golden_help);
+  EXPECT_EQ(agg.NumSites(), 3u);
+  EXPECT_EQ(agg.NumKeys(), 2u);
+}
+
+// Per-site series come out in site-id order, whatever order the sites
+// were first seen in.
+TEST(AggregatorTelemetryTest, PerSiteSeriesInSiteIdOrder) {
+  Aggregator agg;
+  RunAggregatorScript(agg);
+  std::string text;
+  agg.WriteMetricsPrometheus(&text);
+  const std::string family = "dynhist_agg_frames_received_total{site=\"";
+  std::vector<int> sites;
+  for (std::size_t pos = text.find(family); pos != std::string::npos;
+       pos = text.find(family, pos + 1)) {
+    sites.push_back(std::stoi(text.substr(pos + family.size())));
+  }
+  EXPECT_EQ(sites, (std::vector<int>{2, 5, 7})) << text;
+}
+
+// Frames enter the global view through PublishExternal, never through
+// shards, so an aggregated key builds a single (idle) shard.
+TEST(AggregatorTelemetryTest, AggregatedKeysHaveOneShard) {
+  Aggregator agg;
+  RunAggregatorScript(agg);
+  EXPECT_EQ(agg.engine().EffectiveOptions("a.key").shards, 1);
+  EXPECT_EQ(agg.engine().EffectiveOptions("b.key").shards, 1);
 }
 
 }  // namespace

@@ -21,9 +21,12 @@
 #include "src/engine/engine_options.h"
 #include "src/telemetry/exposition.h"
 #include "src/telemetry/trace_ring.h"
+#include "tests/test_util.h"
 
 namespace dynhist::engine {
 namespace {
+
+using dynhist::testing::ExpositionInventory;
 
 // Deterministic manual-pump baseline: nothing publishes or drains unless
 // the test says so.
@@ -59,50 +62,6 @@ std::string Prometheus(const HistogramEngine& engine) {
 }
 
 // ---- Exposition inventory -------------------------------------------------
-
-// Families whose values read the engine's clock: their sample values (and
-// the sparse finite-`le` buckets, whose set moves with the timings) are
-// not reproducible, so the inventory keeps their label sets and counts but
-// masks the clock-valued numbers.
-bool ClockValued(const std::string& family) {
-  return family.find("nanos") != std::string::npos ||
-         (family.size() > 3 &&
-          family.compare(family.size() - 3, 3, "_ns") == 0);
-}
-
-// Every exposed series as "family TYPE series{labels} value", sorted.
-// dynhist_key_staleness_seconds reads a wall clock and is left out.
-std::vector<std::string> ExpositionInventory(const std::string& text) {
-  std::vector<std::string> inventory;
-  std::string family;
-  std::string type;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const std::size_t space = line.find(' ', 7);
-      family = line.substr(7, space - 7);
-      type = line.substr(space + 1);
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-    if (family == "dynhist_key_staleness_seconds") continue;
-    const std::size_t split = line.rfind(' ');
-    const std::string series = line.substr(0, split);
-    std::string value = line.substr(split + 1);
-    if (ClockValued(family)) {
-      const bool bucket = series.find("_bucket{") != std::string::npos;
-      if (bucket && series.find("le=\"+Inf\"") == std::string::npos) continue;
-      if (!bucket && series.find("_count") == std::string::npos) value = "*";
-    }
-    inventory.push_back(family + " " + type + " " + series + " " + value);
-  }
-  std::sort(inventory.begin(), inventory.end());
-  return inventory;
-}
 
 // Per-key series are emitted in key-name order within every series
 // name, whatever order the keys were created in.

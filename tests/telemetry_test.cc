@@ -1,11 +1,10 @@
 // Unit tests of the telemetry subsystem in isolation: log-bucket
-// boundary math (both schemes), histogram record/merge/percentiles, the
-// metrics registry, trace-ring wraparound and overflow accounting, and
+// boundary math (both schemes), histogram record/merge/percentiles,
+// trace-ring wraparound and overflow accounting, and
 // the Prometheus exposition writer plus its self-check (including
 // negative cases — the self-check must actually reject broken output,
 // or the check.sh gate it backs is vacuous).
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,7 +13,6 @@
 
 #include "src/telemetry/exposition.h"
 #include "src/telemetry/log_histogram.h"
-#include "src/telemetry/registry.h"
 #include "src/telemetry/trace_ring.h"
 
 namespace dynhist::telemetry {
@@ -109,43 +107,6 @@ TEST(LogHistogramTest, MergeAddsCountsAndCombinesMax) {
   EXPECT_EQ(s.max, 1000u);
   EXPECT_EQ(s.counts[s.bucketer.BucketFor(5)], 3u);
   EXPECT_EQ(s.counts[s.bucketer.BucketFor(1000)], 2u);
-}
-
-TEST(MetricsRegistryTest, CollectReturnsEveryInstrument) {
-  MetricsRegistry registry;
-  std::atomic<std::uint64_t> ops{0};
-  registry.AddCallback("test_ops_total", "ops", MetricKind::kCounter,
-                       {{"key", "alpha"}}, [&ops] {
-                         return static_cast<double>(
-                             ops.load(std::memory_order_relaxed));
-                       });
-  registry.AddCallback("test_derived", "derived", MetricKind::kGauge, {},
-                       [] { return 42.0; });
-  LogHistogram* h = registry.AddHistogram("test_latency_ns", "latency",
-                                          LogBucketer::PowersOfTwo(),
-                                          {{"key", "beta"}});
-  ops.fetch_add(7, std::memory_order_relaxed);
-  h->Record(100);
-
-  // Callbacks read at Collect() time, in registration order.
-  const MetricsSnapshot snapshot = registry.Collect();
-  ASSERT_EQ(snapshot.samples.size(), 2u);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.samples[0].name, "test_ops_total");
-  EXPECT_EQ(snapshot.samples[0].kind, MetricKind::kCounter);
-  EXPECT_EQ(snapshot.samples[0].value, 7.0);
-  ASSERT_EQ(snapshot.samples[0].labels.size(), 1u);
-  EXPECT_EQ(snapshot.samples[0].labels[0].second, "alpha");
-  EXPECT_EQ(snapshot.samples[1].kind, MetricKind::kGauge);
-  EXPECT_EQ(snapshot.samples[1].value, 42.0);
-  EXPECT_EQ(snapshot.histograms[0].name, "test_latency_ns");
-  ASSERT_EQ(snapshot.histograms[0].labels.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].labels[0].second, "beta");
-  EXPECT_EQ(snapshot.histograms[0].snapshot.count, 1u);
-  EXPECT_EQ(snapshot.histograms[0].snapshot.sum, 100u);
-
-  ops.fetch_add(1, std::memory_order_relaxed);
-  EXPECT_EQ(registry.Collect().samples[0].value, 8.0);
 }
 
 TEST(TraceRingTest, CapacityRoundsUpToPowerOfTwo) {

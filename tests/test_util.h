@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -80,6 +81,16 @@ inline void ApplyToEngine(engine::HistogramEngine& engine,
 /// inside the extent count toward the deviation, trailing gaps do not.
 double BruteForceOptimalCost(const std::vector<ValueFreq>& entries,
                              std::int64_t buckets, DeviationPolicy policy);
+
+/// Every series of a Prometheus exposition as "family TYPE
+/// series{labels} value", sorted: the golden-inventory form that pins
+/// families, types, label sets and values while ignoring output order.
+/// Families that read a clock keep their label sets and counts but mask
+/// their values as "*": names containing "nanos" or ending "_ns" (whose
+/// sparse finite-`le` buckets are dropped, since that set moves with the
+/// timings) and names ending "_seconds". dynhist_key_staleness_seconds is
+/// left out entirely.
+std::vector<std::string> ExpositionInventory(const std::string& text);
 
 }  // namespace dynhist::testing
 
