@@ -147,16 +147,15 @@ double PercentileNs(std::vector<double>& sample, double q) {
 }
 
 // Cadence trips observed so far: a sync trip publishes inline
-// (publishes), an async trip enqueues, coalesces, or is rejected. The
-// async counter must NOT include publishes — the worker bumps that
-// concurrently, and the unlucky insert during which a merge *finished*
-// (usually one the worker preempted on this 1-core box) would be
-// misflagged as a boundary op. With a single writer each counter
-// advances exactly when an insert trips the cadence in its mode.
+// (publishes), an async trip enqueues or coalesces. The async counter
+// must NOT include publishes — the worker bumps that concurrently, and
+// the unlucky insert during which a merge *finished* (usually one the
+// worker preempted on this 1-core box) would be misflagged as a boundary
+// op. With a single writer each counter advances exactly when an insert
+// trips the cadence in its mode.
 std::uint64_t TripCount(const HistogramEngine& engine, bool async) {
   const auto stats = engine.Stats();
-  return async ? stats.publish_queued + stats.publish_coalesced +
-                     stats.publish_rejected
+  return async ? stats.publish_queued + stats.publish_coalesced
                : stats.publishes;
 }
 

@@ -13,6 +13,14 @@ constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-15;
 constexpr double kFpMin = std::numeric_limits<double>::min() / kEpsilon;
 
+// ln|Γ(x)| via the reentrant lgamma_r: std::lgamma also writes the sign
+// of Γ(x) to the global `signgam`, a data race when threads (concurrent DC
+// shard drains) run chi-square tests at once.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Series representation of P(a, x); converges quickly for x < a + 1.
 double GammaPSeries(double a, double x) {
   double ap = a;
@@ -24,7 +32,7 @@ double GammaPSeries(double a, double x) {
     sum += del;
     if (std::fabs(del) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Modified-Lentz continued fraction for Q(a, x); converges for x >= a + 1.
@@ -45,7 +53,7 @@ double GammaQContinuedFraction(double a, double x) {
     h *= del;
     if (std::fabs(del - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 }  // namespace
@@ -74,9 +82,9 @@ double ChiSquareProbability(double chi2, double dof) {
 
 double LogBinomial(std::int64_t n, std::int64_t k) {
   DH_CHECK(n >= 0 && k >= 0 && k <= n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogGamma(static_cast<double>(n) + 1.0) -
+         LogGamma(static_cast<double>(k) + 1.0) -
+         LogGamma(static_cast<double>(n - k) + 1.0);
 }
 
 }  // namespace dynhist

@@ -43,7 +43,7 @@ struct EngineOptions {
 
   /// Updates (per key) between automatic snapshot publications. 0 disables
   /// automatic publication; snapshots then refresh only via
-  /// RefreshSnapshot() or the background thread.
+  /// RefreshSnapshot()/RefreshAll() or background ticks.
   std::int64_t snapshot_every = 8192;
 
   /// Histogram kind maintained by every shard.
@@ -79,47 +79,37 @@ struct EngineOptions {
   /// faithful replay.
   bool coalesce_batches = true;
 
-  /// When positive, a background thread republishes every key's snapshot
-  /// at this cadence (skipping keys with no new updates). 0 disables the
-  /// thread; publication is then driven by `snapshot_every` and
-  /// RefreshSnapshot() alone.
+  /// When positive, merge worker 0 ticks at this cadence, enqueueing a
+  /// publish request for every key (of either publish mode) with
+  /// unpublished updates and none pending. Requires merge_workers >= 1;
+  /// ticks stop with StopPublishWorkers(). 0 disables ticks.
   int background_interval_ms = 0;
 
   /// Publish off the writer thread: when a key's `snapshot_every` cadence
-  /// fires, the writer enqueues a publish request onto a bounded queue and
-  /// returns immediately; merge workers drain the queue, coalescing
-  /// duplicate requests for one key (only the newest state matters). False
-  /// (the default) keeps today's synchronous publish-on-writer-thread
-  /// behavior bit for bit. RefreshSnapshot()/RefreshAll() always publish
-  /// inline regardless of this flag.
+  /// fires, the writer enqueues a publish request and returns immediately;
+  /// merge workers drain the queue. A key has at most one request queued
+  /// (further trips coalesce into it: only the newest state matters), so
+  /// the queue needs no bound. False (the default) publishes on the
+  /// writer thread. RefreshSnapshot()/RefreshAll() always publish inline.
   bool async_publish = false;
 
-  /// Merge workers draining the publish queue. Spawned lazily on the first
-  /// enqueue, so purely synchronous engines never start a thread. 0 is
-  /// manual-pump mode: nothing drains the queue until PumpPublishes() /
-  /// DrainPublishes() — the deterministic executor the test harness steps.
+  /// Merge workers draining the publish queue: the engine's one
+  /// background executor, for async trips and ticks alike. Spawned on the
+  /// first enqueue (at construction when ticking), so purely synchronous
+  /// engines never start a thread. 0 is manual-pump mode: nothing drains
+  /// the queue until PumpPublishes()/DrainPublishes() — the deterministic
+  /// executor the test harness steps.
   int merge_workers = 1;
 
-  /// Bound of the publish-request queue. Coalescing keeps at most one
-  /// entry per key, so this caps the number of keys with an outstanding
-  /// publish; a full queue rejects the request (counted in EngineStats)
-  /// and the key retries at its next cadence trip.
-  int publish_queue_capacity = 1024;
-
   /// Telemetry (src/telemetry/): latency/size distributions, the event
-  /// trace ring, and queue-wait accounting. False skips every recording
-  /// site — the distributions stay empty and queue-wait counters stay 0,
-  /// the overhead bench's baseline mode — while the EngineStats counters
-  /// (which predate telemetry and are the publish cadence's bookkeeping)
-  /// are always maintained.
+  /// trace ring (the newest 4096 publish/merge/flush events, dumped by
+  /// HistogramEngine::WriteTraceJson), and queue-wait accounting. False
+  /// skips every recording site — the distributions stay empty, the ring
+  /// records nothing and queue-wait counters stay 0, the overhead bench's
+  /// baseline mode — while the EngineStats counters (which predate
+  /// telemetry and are the publish cadence's bookkeeping) are always
+  /// maintained.
   bool enable_telemetry = true;
-
-  /// Capacity (events, rounded up to a power of two) of the trace ring
-  /// recording publish/merge/flush/reject events; the newest events
-  /// survive and HistogramEngine::WriteTraceJson dumps them as a
-  /// chrome://tracing document. 0 disables tracing. Ignored (treated as
-  /// 0) when enable_telemetry is false.
-  int trace_capacity = 4096;
 };
 
 /// Per-key overrides layered over the engine-wide EngineOptions by

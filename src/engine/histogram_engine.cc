@@ -1,6 +1,7 @@
 #include "src/engine/histogram_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -11,6 +12,9 @@
 
 namespace dynhist::engine {
 namespace {
+
+// Trace ring capacity: the last ~1365 publications' flush/merge/publish.
+constexpr std::size_t kTraceEvents = 4096;
 
 // Engine instance ids for the lease slot identity (see snapshot_lease.h).
 std::uint64_t NextEngineId() {
@@ -46,7 +50,8 @@ struct CounterRow {
   const char* field;  // EngineStats field name, as ToJson spells it
   std::uint64_t EngineStats::*stat;
   // The per-key cell Stats() accumulates; null for the fields the engine
-  // fills itself (key count, unknown-key reads, epoch sum).
+  // fills itself (key count, unknown-key reads, epoch sum) and for the
+  // ones that are always 0.
   std::atomic<std::uint64_t> KeyCounters::*cell;
   bool combine_max;           // global = max over keys (else the sum)
   MetricKind kind;            // of both series
@@ -107,11 +112,8 @@ constexpr CounterRow kCounterTable[] = {
      "dynhist_engine_publish_coalesced_total",
      "dynhist_key_publish_coalesced_total",
      "Cadence trips absorbed by an already-pending request"},
-    {"publish_rejected", &EngineStats::publish_rejected,
-     &KeyCounters::publish_rejected, false, kCounter,
-     "dynhist_engine_publish_rejected_total",
-     "dynhist_key_publish_rejected_total",
-     "Publish requests dropped because the queue was full"},
+    {"publish_rejected", &EngineStats::publish_rejected, nullptr, false,
+     kCounter, nullptr, nullptr, nullptr},
     {"publish_skipped", &EngineStats::publish_skipped,
      &KeyCounters::publish_skipped, false, kCounter,
      "dynhist_engine_publish_skipped_total",
@@ -195,30 +197,23 @@ HistogramEngine::HistogramEngine(const EngineOptions& options)
     : options_(options),
       telemetry_on_(options.enable_telemetry),
       engine_id_(NextEngineId()),
-      trace_(telemetry_on_ && options.trace_capacity > 0
-                 ? static_cast<std::size_t>(options.trace_capacity)
-                 : 0) {
+      trace_(telemetry_on_ ? kTraceEvents : 0) {
   DH_CHECK(options_.shards >= 1);
   DH_CHECK(options_.batch_size >= 1);
   DH_CHECK(options_.snapshot_every >= 0);
   DH_CHECK(options_.merged_buckets >= 0);
   DH_CHECK(options_.merge_workers >= 0);
-  DH_CHECK(options_.publish_queue_capacity >= 0);
-  DH_CHECK(options_.trace_capacity >= 0);
+  // Background ticks run on merge worker 0, so they need a pool, started
+  // now rather than on the first enqueue.
+  DH_CHECK(options_.background_interval_ms == 0 ||
+           options_.merge_workers >= 1);
   if (options_.background_interval_ms > 0) {
-    background_ = std::thread([this] { BackgroundLoop(); });
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    EnsureWorkersLocked();
   }
 }
 
 HistogramEngine::~HistogramEngine() {
-  if (background_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mu_);
-      stopping_ = true;
-    }
-    background_cv_.notify_all();
-    background_.join();
-  }
   // Queued publish requests are commitments: drain them (via the workers'
   // stop-after-drain protocol, or inline in manual-pump mode) before the
   // registry they point into is destroyed.
@@ -387,13 +382,11 @@ EngineSnapshot HistogramEngine::RefreshSnapshot(std::string_view key) {
   return Publish(*FindOrCreateKey(key), "refresh");
 }
 
-void HistogramEngine::RefreshAll() { RefreshAllInternal("refresh"); }
-
-void HistogramEngine::RefreshAllInternal(const char* trigger) {
+void HistogramEngine::RefreshAll() {
   for (KeyState* state : KeyStates()) {
     if (state->update_count.load(std::memory_order_relaxed) >
         state->published_at.load(std::memory_order_relaxed)) {
-      Publish(*state, trigger);
+      Publish(*state, "refresh");
     }
   }
 }
@@ -694,8 +687,8 @@ void HistogramEngine::MaybeAutoPublish(KeyState& state) {
         std::max(state.published_at.load(std::memory_order_relaxed),
                  state.requested_at.load(std::memory_order_relaxed));
     if (count - baseline < static_cast<std::uint64_t>(every)) return;
-    RequestAsyncPublish(state, count);
-    return;
+    // Once the pool is stopping, the trip publishes inline, as a sync key.
+    if (EnqueuePublish(state, count, /*trip=*/true)) return;
   }
   const std::uint64_t published_at =
       state.published_at.load(std::memory_order_relaxed);
@@ -714,50 +707,35 @@ void HistogramEngine::MaybeAutoPublish(KeyState& state) {
   Publish(state, std::move(lock), "sync");
 }
 
-void HistogramEngine::RequestAsyncPublish(KeyState& state,
-                                          std::uint64_t count) {
-  state.requested_at.store(count, std::memory_order_relaxed);
-  if (state.publish_pending.exchange(true, std::memory_order_acq_rel)) {
-    // A request for this key is already queued; the worker will publish
-    // the key's newest state, so this trip rides along for free.
-    state.counters.publish_coalesced.fetch_add(1,
-                                               std::memory_order_release);
-    return;
-  }
-  // Stamp the enqueue time before the request becomes poppable (the
-  // queue mutex orders this store before the worker's read).
-  if (telemetry_on_) {
-    state.enqueued_at_ns.store(trace_.NowNs(), std::memory_order_relaxed);
-  }
-  bool rejected = false;
+bool HistogramEngine::EnqueuePublish(KeyState& state, std::uint64_t count,
+                                     bool trip) {
+  // A max, not a store: a trip or tick that read an older count must not
+  // lower the watermark a newer one asked the pending request for.
+  BumpMax(state.requested_at, count);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!queue_stopping_ &&
-        publish_queue_.size() <
-            static_cast<std::size_t>(options_.publish_queue_capacity)) {
-      publish_queue_.push_back(&state);
-      EnsureWorkersLocked();
-    } else {
-      // Queue full (or engine stopping): drop the request and clear the
-      // pending flag so the key's next cadence trip retries. Staleness
-      // stays bounded by one extra snapshot_every of updates.
-      state.publish_pending.store(false, std::memory_order_release);
-      rejected = true;
+    // Under queue_mu_, so nothing joins the queue once the stop has begun.
+    if (queue_stopping_) return false;
+    if (state.publish_pending.exchange(true, std::memory_order_acq_rel)) {
+      // The pending request publishes the key's newest state, so a trip
+      // rides along free (a tick is not a trip and is not counted).
+      if (trip) {
+        state.counters.publish_coalesced.fetch_add(
+            1, std::memory_order_release);
+      }
+      return true;
     }
-  }
-  if (rejected) {
-    state.counters.publish_rejected.fetch_add(1,
-                                              std::memory_order_release);
-    if (telemetry_on_ && trace_.enabled()) {
-      trace_.Record({telemetry::TraceEventKind::kReject,
-                     state.name.c_str(), "async",
-                     state.epoch.load(std::memory_order_relaxed),
-                     trace_.NowNs(), 0, 0});
+    // Stamp the enqueue time before the request becomes poppable (the
+    // queue mutex orders this store before the worker's read).
+    if (telemetry_on_) {
+      state.enqueued_at_ns.store(trace_.NowNs(), std::memory_order_relaxed);
     }
-    return;
+    publish_queue_.push_back(&state);
+    EnsureWorkersLocked();
   }
   state.counters.publish_queued.fetch_add(1, std::memory_order_release);
   queue_cv_.notify_one();
+  return true;
 }
 
 void HistogramEngine::EnsureWorkersLocked() {
@@ -765,7 +743,8 @@ void HistogramEngine::EnsureWorkersLocked() {
   workers_spawned_ = true;
   workers_.reserve(static_cast<std::size_t>(options_.merge_workers));
   for (int i = 0; i < options_.merge_workers; ++i) {
-    workers_.emplace_back([this] { MergeWorkerLoop(); });
+    const bool ticks = i == 0 && options_.background_interval_ms > 0;
+    workers_.emplace_back([this, ticks] { MergeWorkerLoop(ticks); });
   }
 }
 
@@ -783,7 +762,7 @@ bool HistogramEngine::RunOneQueuedPublish() {
   // absorbed by a merge that has already read its watermark. The clear is
   // an acq_rel exchange, not a plain store: it reads the last coalescer's
   // exchange(true) and thereby acquires that trip's earlier requested_at
-  // store, so the skip check below can never act on a stale requested_at
+  // update, so the skip check below can never act on a stale requested_at
   // and elide a merge a coalesced trip still needs.
   state->publish_pending.exchange(false, std::memory_order_acq_rel);
   if (telemetry_on_) {
@@ -819,16 +798,39 @@ bool HistogramEngine::RunOneQueuedPublish() {
   return true;
 }
 
-void HistogramEngine::MergeWorkerLoop() {
+void HistogramEngine::MergeWorkerLoop(bool ticks) {
+  using Clock = std::chrono::steady_clock;
+  const auto interval =
+      std::chrono::milliseconds(options_.background_interval_ms);
+  Clock::time_point next_tick = Clock::now() + interval;
   while (true) {
+    bool tick = false;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
+      const auto ready = [this] {
         return queue_stopping_ || !publish_queue_.empty();
-      });
+      };
+      if (ticks) {
+        // The deadline is checked between publishes too, so a queue kept
+        // busy by cadence trips cannot starve the ticks.
+        queue_cv_.wait_until(lock, next_tick, ready);
+        tick = !queue_stopping_ && Clock::now() >= next_tick;
+      } else {
+        queue_cv_.wait(lock, ready);
+      }
       // Stop only once the queue is drained: requests accepted before the
       // stop are commitments (stop-while-queued drain semantics).
       if (queue_stopping_ && publish_queue_.empty()) return;
+    }
+    if (tick) {  // enqueue every key with unpublished updates
+      for (KeyState* state : KeyStates()) {
+        const std::uint64_t count =
+            state->update_count.load(std::memory_order_relaxed);
+        if (count > state->published_at.load(std::memory_order_relaxed)) {
+          EnqueuePublish(*state, count, /*trip=*/false);
+        }
+      }
+      next_tick = Clock::now() + interval;
     }
     RunOneQueuedPublish();
   }
@@ -862,8 +864,7 @@ void HistogramEngine::StopPublishWorkers() {
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   workers_stopped_.store(true, std::memory_order_release);
-  // Manual-pump mode, or stragglers that slipped in while the workers were
-  // exiting: finish them inline so nothing queued is ever lost.
+  // Manual-pump mode: drain the queue inline so nothing queued is lost.
   PumpPublishes();
 }
 
@@ -1003,19 +1004,6 @@ EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
     }
   }
   return EngineSnapshot(std::move(versioned));
-}
-
-void HistogramEngine::BackgroundLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.background_interval_ms);
-  std::unique_lock<std::mutex> lock(background_mu_);
-  while (!stopping_) {
-    background_cv_.wait_for(lock, interval, [this] { return stopping_; });
-    if (stopping_) break;
-    lock.unlock();
-    RefreshAllInternal("background");
-    lock.lock();
-  }
 }
 
 }  // namespace dynhist::engine

@@ -9,8 +9,8 @@
 //
 //   writers ──hash(value)──▶ shard buffers ──batch──▶ per-shard dynamic
 //   histograms (DC/DVO/DADO behind per-shard mutexes)
-//                                   │  every snapshot_every updates, or on
-//                                   ▼  demand / background cadence
+//                                   │  every snapshot_every updates, on
+//                                   ▼  demand, or at a background tick
 //   Superimpose(shard models) ─▶ ReduceWithSsbm ─▶ immutable VersionedModel
 //                                   │   published by atomic shared_ptr swap
 //                                   ▼
@@ -26,14 +26,17 @@
 // writer that trips a key's snapshot_every cadence performs the merge
 // inline — simple, but that writer's latency spikes by the full merge
 // cost each epoch. Asynchronous (EngineOptions::async_publish, or per key
-// via SetKeyOptions): the tripping writer enqueues a publish request on a
-// bounded queue and returns immediately; lazily-spawned merge workers
-// drain the queue, coalescing duplicate requests for one key (a request
-// is "publish the key's newest state", so N trips while one is queued
-// still cost one merge), and publish under the same per-key publish_mu
-// the sync path uses. merge_workers == 0 is manual-pump mode: the queue
-// drains only through PumpPublishes()/DrainPublishes(), which is what the
-// deterministic engine tests step.
+// via SetKeyOptions): the tripping writer enqueues a publish request and
+// returns immediately; merge workers drain the queue and publish under
+// the same per-key publish_mu the sync path uses. A request is "publish
+// the key's newest state", so a key has at most one queued: N trips while
+// one is pending cost one merge, and the queue never outgrows the key
+// count. merge_workers == 0 is manual-pump mode: the queue drains only
+// through PumpPublishes()/DrainPublishes(), which is what the
+// deterministic engine tests step. The merge workers are the one
+// background executor: with background_interval_ms > 0, worker 0 also
+// ticks, enqueueing every key with unpublished updates (whatever its
+// publish mode). RefreshSnapshot()/RefreshAll() always publish inline.
 //
 // Consistency model: a snapshot merges every shard, but shards are
 // flushed and exported one after another while writers keep pushing, so
@@ -122,10 +125,13 @@ struct EngineStats {
 
   // Async publish pipeline (zero in purely synchronous engines).
   std::uint64_t async_publishes = 0;    ///< publishes run off the queue
-  std::uint64_t publish_queued = 0;     ///< requests accepted onto the queue
+  std::uint64_t publish_queued = 0;     ///< requests put on the queue
+                                        ///< (cadence trips and ticks)
   std::uint64_t publish_coalesced = 0;  ///< cadence trips absorbed by an
                                         ///< already-pending request
-  std::uint64_t publish_rejected = 0;   ///< requests dropped, queue full
+  /// Always 0 (a key has at most one queued request, so none is ever
+  /// dropped); kept for existing consumers of the stats and of ToJson.
+  std::uint64_t publish_rejected = 0;
   std::uint64_t publish_skipped = 0;    ///< drained requests whose updates
                                         ///< an inline refresh had already
                                         ///< published (merge elided)
@@ -260,13 +266,14 @@ class HistogramEngine {
   void DrainPublishes();
 
   /// Stops the merge workers after they drain everything already queued
-  /// (no request accepted before the call is lost), then joins them; any
-  /// stragglers enqueued during the stop are pumped inline. Afterwards
-  /// async-configured keys fall back to synchronous publication. Called
-  /// by the destructor; safe to call repeatedly.
+  /// (no request accepted before the call is lost), then joins them; in
+  /// manual-pump mode the queue is pumped inline. From the stop on,
+  /// nothing is queued: async keys publish synchronously, and background
+  /// ticks stop, so keys that only ticks published wait for an explicit
+  /// refresh. Called by the destructor; safe to call repeatedly.
   void StopPublishWorkers();
 
-  /// Requests queued right now (diagnostic; racy by nature).
+  /// Requests queued right now, at most one per key (diagnostic; racy).
   std::size_t PublishQueueDepth() const;
 
   /// Operations sitting in `key`'s shard buffers, not yet applied to the
@@ -353,12 +360,12 @@ class HistogramEngine {
   void WriteMetricsPrometheus(std::string* out) const;
   void WriteMetricsJson(std::string* out) const;
 
-  /// Dumps the trace ring (publish/merge/flush/reject events) as a
+  /// Dumps the trace ring (publish/merge/flush events) as a
   /// chrome://tracing JSON document. Empty trace when tracing is off.
   void WriteTraceJson(std::string* out) const;
 
-  /// The engine's trace ring (diagnostic access; always valid, disabled
-  /// when EngineOptions::trace_capacity is 0 or telemetry is off).
+  /// The engine's trace ring: the newest 4096 events (diagnostic access;
+  /// always valid, disabled when telemetry is off).
   const telemetry::TraceRing& trace() const { return trace_; }
 
   const EngineOptions& options() const { return options_; }
@@ -419,22 +426,25 @@ class HistogramEngine {
   // request (async) if the key's cadence says so.
   void MaybeAutoPublish(KeyState& state);
 
-  // Async path of MaybeAutoPublish: coalesce into a pending request or
-  // enqueue a new one (spawning the worker pool on first use).
-  void RequestAsyncPublish(KeyState& state, std::uint64_t count);
+  // The one way onto the publish queue, for cadence trips and ticks:
+  // raises the key's requested watermark to `count`, then queues a
+  // request unless one is pending (a pending request absorbs a `trip`
+  // as publish_coalesced). Spawns the pool on first use. Returns false,
+  // queueing nothing, once StopPublishWorkers has begun.
+  bool EnqueuePublish(KeyState& state, std::uint64_t count, bool trip);
 
   // Pops one request and publishes it on the calling thread. Returns
   // false when the queue is empty. Shared by workers and PumpPublishes.
   bool RunOneQueuedPublish();
 
-  // Spawns the merge workers if configured and not yet running. Called
-  // under queue_mu_.
+  // Spawns the merge workers if configured and not yet running; worker 0
+  // ticks when background_interval_ms > 0. Called under queue_mu_.
   void EnsureWorkersLocked();
 
   // Flush + superimpose + reduce + atomic publish. Returns the snapshot.
   // The second overload runs under an already-held publish lock.
   // `trigger` names what drove the publication ("sync", "async",
-  // "refresh", "background") for the trace.
+  // "refresh") for the trace.
   EngineSnapshot Publish(KeyState& state, const char* trigger);
   EngineSnapshot Publish(KeyState& state,
                          std::unique_lock<std::mutex> publish_lock,
@@ -460,11 +470,9 @@ class HistogramEngine {
   // Drains `state`'s shard buffers and traces the flush (Flush/FlushAll).
   void FlushKey(KeyState& state);
 
-  // RefreshAll with the trace trigger attributed to the caller.
-  void RefreshAllInternal(const char* trigger);
-
-  void BackgroundLoop();
-  void MergeWorkerLoop();
+  // Pops and publishes queued requests until the stop; `ticks` also runs
+  // the background tick every background_interval_ms.
+  void MergeWorkerLoop(bool ticks);
 
   const EngineOptions options_;
   // True when this engine records distributions/traces/queue-wait; the
@@ -518,11 +526,13 @@ class HistogramEngine {
   mutable std::atomic<std::uint64_t> unknown_queries_{0};
 
   // Publish queue (all guarded by queue_mu_ unless noted). Holds raw
-  // KeyState pointers: the registry never erases keys, and the destructor
-  // stops the workers before the registry is torn down.
+  // KeyState pointers, at most one per key (KeyState::publish_pending):
+  // the registry never erases keys, and the destructor stops the workers
+  // before the registry is torn down.
   mutable std::mutex queue_mu_;
   std::deque<KeyState*> publish_queue_;
   std::condition_variable queue_cv_;  // workers: work available / stopping
+                                      // (worker 0 also wakes to tick)
   std::condition_variable drain_cv_;  // DrainPublishes: empty and idle
   int publishes_in_flight_ = 0;
   bool queue_stopping_ = false;
@@ -531,11 +541,6 @@ class HistogramEngine {
   // Set (after the join) by StopPublishWorkers: async keys fall back to
   // synchronous publication. Read outside queue_mu_ on the writer path.
   std::atomic<bool> workers_stopped_{false};
-
-  std::mutex background_mu_;
-  std::condition_variable background_cv_;
-  bool stopping_ = false;  // guarded by background_mu_
-  std::thread background_;
 };
 
 }  // namespace dynhist::engine

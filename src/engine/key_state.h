@@ -46,7 +46,6 @@ struct KeyCounters {
   std::atomic<std::uint64_t> async_publishes{0};
   std::atomic<std::uint64_t> publish_queued{0};
   std::atomic<std::uint64_t> publish_coalesced{0};
-  std::atomic<std::uint64_t> publish_rejected{0};
   std::atomic<std::uint64_t> publish_skipped{0};
   std::atomic<std::uint64_t> publish_nanos{0};
   std::atomic<std::uint64_t> max_publish_nanos{0};
@@ -100,9 +99,10 @@ struct KeyState {
 
   // Async publish state: `publish_pending` is true while a request for
   // this key sits in the queue — further cadence trips coalesce into it
-  // instead of enqueueing again (the worker publishes the key's newest
-  // state, so only the newest trip matters). `requested_at` is the
-  // update count at the last trip; the async cadence measures from
+  // and ticks skip the key (the worker publishes the key's newest state,
+  // so only the newest trip matters), which keeps the queue at one entry
+  // per key at most. `requested_at` is the highest update count a trip
+  // or tick asked to publish; the async cadence measures from
   // max(published_at, requested_at) so a pending request suppresses
   // re-trips until new updates accumulate past it.
   std::atomic<bool> publish_pending{false};

@@ -20,6 +20,11 @@ void ApplyOne(const UpdateOp& op, Histogram* histogram,
       truth->Delete(op.value);
       break;
     }
+    case UpdateOp::Kind::kFeedback:
+      // An observation about the data, not a change to it: the truth
+      // vector stays as it is.
+      histogram->ApplyFeedback(op.value, op.hi, op.actual);
+      break;
   }
 }
 

@@ -21,7 +21,8 @@
 namespace dynhist {
 
 /// Replays `stream` into `histogram` and `truth`. Both see exactly the same
-/// operations in the same order.
+/// inserts and deletes in the same order; feedback ops go to
+/// Histogram::ApplyFeedback and leave `truth` unchanged.
 void Replay(const UpdateStream& stream, Histogram* histogram,
             FrequencyVector* truth);
 

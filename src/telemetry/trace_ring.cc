@@ -8,8 +8,7 @@
 
 namespace dynhist::telemetry {
 
-const char* const kTraceEventNames[4] = {"publish", "merge", "flush",
-                                         "reject"};
+const char* const kTraceEventNames[3] = {"publish", "merge", "flush"};
 
 namespace {
 

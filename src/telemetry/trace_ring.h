@@ -1,12 +1,12 @@
 // Bounded ring-buffer event tracer with a chrome://tracing JSON dump.
 //
-// The engine's interesting moments — publishes, merges, flushes, queue
-// rejects — happen at publish frequency (every snapshot_every updates),
-// not per update, so the tracer optimizes for bounded memory and a
-// useful dump rather than for nanosecond record cost: events land in a
-// fixed power-of-two ring under a mutex (tens of nanoseconds,
-// irrelevant at publish cadence), the newest `capacity` events survive,
-// and everything older is overwritten and counted as dropped.
+// The engine's interesting moments — publishes, merges, flushes — happen
+// at publish frequency (every snapshot_every updates), not per update,
+// so the tracer optimizes for bounded memory and a useful dump rather
+// than for nanosecond record cost: events land in a fixed power-of-two
+// ring under a mutex (tens of nanoseconds, irrelevant at publish
+// cadence), the newest `capacity` events survive, and everything older
+// is overwritten and counted as dropped.
 //
 // DumpChromeTracing() renders the surviving events as a complete-event
 // ("ph":"X") trace that chrome://tracing and Perfetto load directly:
@@ -30,7 +30,6 @@ enum class TraceEventKind : std::uint8_t {
   kPublish = 0,  ///< whole publication: flush + merge + snapshot swap
   kMerge,        ///< the Superimpose + reduce portion of a publication
   kFlush,        ///< draining shard buffers into the shard histograms
-  kReject,       ///< publish request dropped, queue full
 };
 
 /// One traced event. `key` and `trigger` point at storage that outlives
@@ -38,11 +37,14 @@ enum class TraceEventKind : std::uint8_t {
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kPublish;
   const char* key = "";      ///< histogram key the event concerns
-  const char* trigger = "";  ///< "sync", "async", "refresh", "background",
-                             ///< "manual" (explicit Flush/FlushAll)
+  /// What drove it: "sync" (a writer's cadence trip), "async" (a queued
+  /// request: a cadence trip or a background tick — one coalesced request
+  /// can stand for both), "refresh" (RefreshSnapshot/RefreshAll),
+  /// "external" (PublishExternal), "manual" (explicit Flush/FlushAll).
+  const char* trigger = "";
   std::uint64_t epoch = 0;   ///< published epoch (0 when n/a)
   std::uint64_t start_ns = 0;     ///< offset from ring creation
-  std::uint64_t duration_ns = 0;  ///< 0 for instant events (reject)
+  std::uint64_t duration_ns = 0;
   std::uint32_t tid = 0;          ///< recording thread (small dense id)
 };
 
@@ -85,7 +87,7 @@ class TraceRing {
 };
 
 /// Human-readable event-kind names, indexed by TraceEventKind.
-extern const char* const kTraceEventNames[4];
+extern const char* const kTraceEventNames[3];
 
 }  // namespace dynhist::telemetry
 

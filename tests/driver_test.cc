@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/histogram/dynamic_vopt.h"
+#include "src/histogram/st_feedback.h"
 #include "tests/test_util.h"
 
 namespace dynhist {
@@ -71,6 +72,60 @@ TEST(DriverTest, SingleCheckpointIsJustTheEnd) {
                           EXPECT_DOUBLE_EQ(fraction, 1.0);
                         });
   EXPECT_EQ(calls, 1);
+}
+
+// Inserts interleaved with query-feedback observations over [0, 99].
+UpdateStream StreamWithFeedback() {
+  UpdateStream stream;
+  for (std::int64_t v = 0; v < 300; ++v) {
+    stream.push_back(UpdateOp::Insert((v * 37) % 100));
+    if (v % 10 == 9) {
+      const std::int64_t lo = (v * 13) % 80;
+      stream.push_back(UpdateOp::Feedback(lo, lo + 19, 60.0));
+    }
+  }
+  return stream;
+}
+
+TEST(DriverTest, ReplayRoutesFeedbackToTheHistogram) {
+  const StFeedbackConfig config = {.buckets = 8,
+                                   .domain_lo = 0,
+                                   .domain_hi = 99,
+                                   .restructure_every = 10};
+  const UpdateStream stream = StreamWithFeedback();
+  StFeedbackHistogram replayed(config);
+  FrequencyVector truth(100);
+  Replay(stream, &replayed, &truth);
+
+  StFeedbackHistogram direct(config);
+  for (const UpdateOp& op : stream) {
+    if (op.kind == UpdateOp::Kind::kFeedback) {
+      direct.ApplyFeedback(op.value, op.hi, op.actual);
+    } else {
+      direct.Insert(op.value);
+    }
+  }
+  EXPECT_EQ(replayed.feedback_count(), 30u);
+  EXPECT_TRUE(testing::ModelsBitIdentical(replayed.Model(), direct.Model()));
+  // Feedback observes the data; it does not change it.
+  EXPECT_EQ(truth.TotalCount(), 300);
+}
+
+TEST(DriverTest, FeedbackIsANoOpForDataDrivenHistograms) {
+  const UpdateStream stream = StreamWithFeedback();
+  UpdateStream inserts_only;
+  for (const UpdateOp& op : stream) {
+    if (op.kind != UpdateOp::Kind::kFeedback) inserts_only.push_back(op);
+  }
+  DynamicVOptHistogram with_feedback(Config());
+  DynamicVOptHistogram without_feedback(Config());
+  FrequencyVector truth_with(100);
+  FrequencyVector truth_without(100);
+  Replay(stream, &with_feedback, &truth_with);
+  Replay(inserts_only, &without_feedback, &truth_without);
+  EXPECT_TRUE(testing::ModelsBitIdentical(with_feedback.Model(),
+                                          without_feedback.Model()));
+  EXPECT_EQ(truth_with.TotalCount(), truth_without.TotalCount());
 }
 
 TEST(DriverDeathTest, DeleteOfAbsentValueIsRejected) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -304,33 +305,37 @@ TEST(EngineAsyncTest, PerKeyAsyncOverridesGlobalSyncAndViceVersa) {
   EXPECT_EQ(engine.PublishQueueDepth(), 0u);
 }
 
-TEST(EngineAsyncTest, FullQueueRejectsRequestAndKeyRetriesLater) {
+TEST(EngineAsyncTest, QueueHoldsAtMostOneRequestPerKey) {
+  // Every insert trips its key's cadence, round-robin over 64 keys. The
+  // pending flag admits one request per key, so the queue is bounded by
+  // the key count with no capacity setting.
   EngineOptions options = ManualAsyncOptions();
-  options.publish_queue_capacity = 0;  // every enqueue rejected
+  options.snapshot_every = 1;
   HistogramEngine engine(options);
-
-  for (const std::int64_t v : ZipfValues(100, /*seed=*/71)) {
-    engine.Insert(kKey, v);
+  constexpr int kKeys = 64;
+  constexpr int kTrips = 100;
+  std::size_t max_depth = 0;
+  for (int trip = 0; trip < kTrips; ++trip) {
+    for (int k = 0; k < kKeys; ++k) {
+      engine.Insert("key." + std::to_string(k), trip);
+      max_depth = std::max(max_depth, engine.PublishQueueDepth());
+    }
   }
-  EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.publish_rejected, 1u);
-  EXPECT_EQ(stats.publish_queued, 0u);
-  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
-  EXPECT_EQ(engine.Snapshot(kKey).epoch(), 0u);
+  EXPECT_EQ(max_depth, static_cast<std::size_t>(kKeys));
 
-  // The rejection cleared the pending flag, so the next cadence trip
-  // retries (and is rejected again — staleness stays bounded, the key is
-  // never wedged).
-  for (const std::int64_t v : ZipfValues(100, /*seed=*/72)) {
-    engine.Insert(kKey, v);
+  engine.DrainPublishes();
+  for (int k = 0; k < kKeys; ++k) {
+    const EngineSnapshot snapshot =
+        engine.Snapshot("key." + std::to_string(k));
+    EXPECT_EQ(snapshot.epoch(), 1u) << "key." << k;
+    EXPECT_EQ(snapshot.watermark(), static_cast<std::uint64_t>(kTrips));
   }
-  stats = engine.Stats();
-  EXPECT_EQ(stats.publish_rejected, 2u);
-
-  // Explicit refresh always works regardless of queue pressure.
-  const EngineSnapshot snapshot = engine.RefreshSnapshot(kKey);
-  EXPECT_EQ(snapshot.epoch(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.TotalCount(), 200.0);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.publish_queued, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(stats.publish_coalesced,
+            static_cast<std::uint64_t>(kKeys * (kTrips - 1)));
+  EXPECT_EQ(stats.async_publishes, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(stats.publish_rejected, 0u);
 }
 
 TEST(EngineAsyncTest, StatsConsistentAfterConcurrentDrain) {

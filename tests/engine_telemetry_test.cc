@@ -139,7 +139,6 @@ TEST(EngineTelemetryTest, ExpositionInventoryIsStable) {
     "dynhist_engine_publish_nanos_total counter dynhist_engine_publish_nanos_total *",
     "dynhist_engine_publish_queue_depth gauge dynhist_engine_publish_queue_depth 0",
     "dynhist_engine_publish_queued_total counter dynhist_engine_publish_queued_total 1",
-    "dynhist_engine_publish_rejected_total counter dynhist_engine_publish_rejected_total 0",
     "dynhist_engine_publish_skipped_total counter dynhist_engine_publish_skipped_total 0",
     "dynhist_engine_publishes_total counter dynhist_engine_publishes_total 4",
     "dynhist_engine_queries_total counter dynhist_engine_queries_total 16",
@@ -192,9 +191,6 @@ TEST(EngineTelemetryTest, ExpositionInventoryIsStable) {
     "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"global.price\"} 0",
     "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"lineitem.qty\"} 0",
     "dynhist_key_publish_queued_total counter dynhist_key_publish_queued_total{key=\"orders.amount\"} 1",
-    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"global.price\"} 0",
-    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"lineitem.qty\"} 0",
-    "dynhist_key_publish_rejected_total counter dynhist_key_publish_rejected_total{key=\"orders.amount\"} 0",
     "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"global.price\"} 0",
     "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"lineitem.qty\"} 0",
     "dynhist_key_publish_skipped_total counter dynhist_key_publish_skipped_total{key=\"orders.amount\"} 0",
@@ -410,9 +406,8 @@ TEST(EngineTelemetryTest, IngestDistributionsRecordAtBatchGranularity) {
   EXPECT_GT(MetricValue(text, "dynhist_coalesce_run_length_count"), 0.0);
 }
 
-TEST(EngineTelemetryTest, TraceRecordsPublishLifecycleAndRejects) {
+TEST(EngineTelemetryTest, TraceRecordsPublishLifecycle) {
   EngineOptions options = ManualOptions();
-  options.trace_capacity = 16;
   HistogramEngine engine(options);
   ASSERT_TRUE(engine.trace().enabled());
   for (int i = 0; i < 8; ++i) engine.Insert("k", i);
@@ -431,21 +426,6 @@ TEST(EngineTelemetryTest, TraceRecordsPublishLifecycleAndRejects) {
   std::string trace_json;
   engine.WriteTraceJson(&trace_json);
   EXPECT_NE(trace_json.find("\"trigger\":\"refresh\""), std::string::npos);
-
-  // A zero-capacity publish queue rejects every async request and traces
-  // the rejection.
-  EngineOptions reject_options = ManualOptions();
-  reject_options.snapshot_every = 4;
-  reject_options.async_publish = true;
-  reject_options.publish_queue_capacity = 0;
-  reject_options.trace_capacity = 8;
-  HistogramEngine rejecting(reject_options);
-  for (int i = 0; i < 4; ++i) rejecting.Insert("k", i);
-  EXPECT_EQ(rejecting.Stats("k").publish_rejected, 1u);
-  const auto rejected_events = rejecting.trace().Events();
-  ASSERT_FALSE(rejected_events.empty());
-  EXPECT_EQ(rejected_events.back().kind,
-            telemetry::TraceEventKind::kReject);
 }
 
 TEST(EngineTelemetryTest, DisabledTelemetryStillCountsStats) {

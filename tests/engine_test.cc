@@ -19,6 +19,7 @@
 #include "src/engine/snapshot.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/metrics/ks.h"
+#include "src/telemetry/trace_ring.h"
 #include "tests/test_util.h"
 
 namespace dynhist::engine {
@@ -181,6 +182,33 @@ TEST(HistogramEngineTest, DynamicCompressedKindWorks) {
   EXPECT_LT(KsStatistic(truth, snapshot.model()), 0.1);
 }
 
+// Writers on different shards drain concurrently, and past loading every
+// DC update runs a chi-square test, so shard drains must share no hidden
+// state (std::lgamma's global `signgam` was one; TSan runs this suite).
+TEST(HistogramEngineTest, DynamicCompressedShardsDrainConcurrently) {
+  EngineOptions options = TestOptions();
+  options.kind = ShardHistogramKind::kDynamicCompressed;
+  options.shards = 8;
+  HistogramEngine engine(options);
+  constexpr int kWriters = 4;
+  constexpr std::int64_t kPerWriter = 5'000;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&engine, w] {
+      // Uniform values: each shard sees far more than shard_buckets
+      // distinct values, so every shard leaves loading early.
+      Rng rng(static_cast<std::uint64_t>(w) + 101);
+      for (std::int64_t i = 0; i < kPerWriter; ++i) {
+        engine.Insert(kKey, rng.UniformInt(0, kDomain - 1));
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  constexpr double kTotal = kWriters * kPerWriter;
+  EXPECT_DOUBLE_EQ(engine.LiveTotalCount(kKey), kTotal);
+  EXPECT_NEAR(engine.RefreshSnapshot(kKey).TotalCount(), kTotal, 1.0);
+}
+
 TEST(HistogramEngineTest, MultipleKeysAreIndependent) {
   HistogramEngine engine(TestOptions());
   engine.Insert("a", 1);
@@ -283,6 +311,82 @@ TEST(HistogramEngineTest, BackgroundThreadPublishesWithoutManualRefresh) {
   const EngineSnapshot snapshot = engine.Snapshot(kKey);
   EXPECT_GE(snapshot.epoch(), 1u);
   EXPECT_NEAR(snapshot.TotalCount(), 2'000.0, 1.0);
+}
+
+// Polls until `key`'s published snapshot holds `mass`, for up to 5 s:
+// ticks run on their own clock, so there is no call to wait on.
+bool WaitForPublishedMass(const HistogramEngine& engine, const char* key,
+                          double mass) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (engine.Snapshot(key).TotalCount() < mass - 0.5) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(HistogramEngineTest, BackgroundTicksPublishThroughWorkers) {
+  EngineOptions options = TestOptions();
+  options.background_interval_ms = 2;
+  HistogramEngine engine(options);
+  for (const std::int64_t v : ZipfValues(1'000, 9)) engine.Insert(kKey, v);
+  ASSERT_TRUE(WaitForPublishedMass(engine, kKey, 1'000.0));
+  engine.StopPublishWorkers();  // a sync point: counters are consistent
+
+  // Every publication ran off the queue; ticks are not cadence trips.
+  const EngineStats stats = engine.Stats();
+  EXPECT_GE(stats.async_publishes, 1u);
+  EXPECT_EQ(stats.publishes, stats.async_publishes);
+  EXPECT_EQ(stats.async_publishes + stats.publish_skipped,
+            stats.publish_queued);
+  EXPECT_EQ(stats.publish_coalesced, 0u);
+  const std::vector<telemetry::TraceEvent> events = engine.trace().Events();
+  ASSERT_FALSE(events.empty());
+  for (const telemetry::TraceEvent& e : events) {
+    EXPECT_STREQ(e.trigger, "async");
+  }
+}
+
+TEST(HistogramEngineTest, BackgroundTicksNotStarvedByBusyQueue) {
+  // One merge worker; a hot async key re-enqueues on every insert, so the
+  // queue is almost never empty. The cold key publishes by ticks alone.
+  EngineOptions options = TestOptions();
+  options.background_interval_ms = 2;
+  options.merge_workers = 1;
+  HistogramEngine engine(options);
+  engine.SetKeyOptions("hot", {.snapshot_every = 1, .async_publish = true});
+  for (std::int64_t i = 0; i < 500; ++i) engine.Insert("cold", i);
+
+  std::atomic<bool> done{false};
+  std::thread hot([&] {
+    for (std::int64_t i = 0; !done.load(); ++i) {
+      engine.Insert("hot", i % kDomain);
+    }
+  });
+  const bool published = WaitForPublishedMass(engine, "cold", 500.0);
+  done.store(true);
+  hot.join();
+  EXPECT_TRUE(published);
+  EXPECT_GE(engine.Stats("hot").async_publishes, 1u);
+}
+
+TEST(HistogramEngineTest, StopPublishWorkersStopsTicks) {
+  EngineOptions options = TestOptions();
+  options.background_interval_ms = 2;
+  HistogramEngine engine(options);
+  engine.Insert(kKey, 1);
+  ASSERT_TRUE(WaitForPublishedMass(engine, kKey, 1.0));
+  engine.StopPublishWorkers();
+
+  const std::uint64_t epoch = engine.Snapshot(kKey).epoch();
+  for (const std::int64_t v : ZipfValues(100, 10)) engine.Insert(kKey, v);
+  // About 25 tick intervals: none of them may publish.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(engine.Snapshot(kKey).epoch(), epoch);
+  EXPECT_EQ(engine.PublishQueueDepth(), 0u);
+  // An explicit refresh still publishes inline.
+  EXPECT_DOUBLE_EQ(engine.RefreshSnapshot(kKey).TotalCount(), 101.0);
 }
 
 TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
