@@ -9,11 +9,8 @@
 namespace dynhist::distributed {
 namespace {
 
-engine::EngineOptions GlobalViewDefaults() {
+engine::EngineOptions GlobalViewOptions() {
   engine::EngineOptions o;
-  // Nothing flows through this engine's shards: the aggregator
-  // publishes externally, so extra shards, ingest cadence and async
-  // machinery are dead weight.
   o.shards = 1;
   o.snapshot_every = 0;
   o.async_publish = false;
@@ -23,12 +20,12 @@ engine::EngineOptions GlobalViewDefaults() {
 
 }  // namespace
 
-Aggregator::Options::Options() : engine(GlobalViewDefaults()) {}
+Aggregator::Aggregator() : Aggregator(Options()) {}
 
 Aggregator::Aggregator(Options options)
     : options_(std::move(options)),
       start_(std::chrono::steady_clock::now()),
-      engine_(options_.engine) {}
+      engine_(GlobalViewOptions()) {}
 
 std::uint64_t Aggregator::NowNs() const {
   return static_cast<std::uint64_t>(

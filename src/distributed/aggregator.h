@@ -41,7 +41,6 @@
 
 #include "src/distributed/frame.h"
 #include "src/distributed/global_histogram.h"
-#include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
 
 namespace dynhist::distributed {
@@ -52,13 +51,6 @@ class Aggregator {
     /// Bucket budget of the published global view (<= 0 keeps the
     /// unreduced composite).
     std::int64_t merged_buckets = 64;
-
-    /// Options of the global-view engine. Defaults disable ingest-side
-    /// cadence (the aggregator publishes externally; nothing flows
-    /// through shards).
-    engine::EngineOptions engine;
-
-    Options();
   };
 
   /// What happened to one ingested frame.
@@ -69,7 +61,11 @@ class Aggregator {
     kRejected,   ///< frame failed validation (see the FrameError)
   };
 
-  explicit Aggregator(Options options = Options());
+  /// The global-view engine's options are fixed: one shard per key, no
+  /// ingest cadence and no merge workers, because the aggregator
+  /// publishes externally and nothing flows through its shards.
+  Aggregator();  // default Options
+  explicit Aggregator(Options options);
 
   /// Decodes and applies one frame. Thread-safe; applied frames
   /// republish the key's global view before returning (the sender's

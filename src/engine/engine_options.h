@@ -58,12 +58,6 @@ struct EngineOptions {
   /// lossless composite unreduced.
   std::int64_t merged_buckets = 64;
 
-  /// DC only: chi-square repartition threshold (§3).
-  double alpha_min = 1e-6;
-
-  /// DVO/DADO only: equal-width sub-buckets per bucket (§4).
-  int sub_buckets = 2;
-
   /// STF only: learning rate, restructure thresholds, and initial domain
   /// of ST-FEEDBACK shards (see StFeedbackConfig). The `buckets` field is
   /// ignored — `shard_buckets` sizes every shard kind uniformly.

@@ -30,7 +30,9 @@
 
 namespace dynhist::engine {
 
-/// Builds the dynamic histogram a shard maintains, per the options.
+/// Builds the dynamic histogram a shard maintains, per the options. DC and
+/// DVO/DADO shards keep their configs' paper values of alpha_min (1e-6)
+/// and sub_buckets (2).
 std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options);
 
 /// Where a shard records its ingest distributions (engine-owned

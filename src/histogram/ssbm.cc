@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <tuple>
 
 #include "src/common/check.h"
 #include "src/histogram/static_common.h"
@@ -111,116 +112,92 @@ HistogramModel BuildSsbm(const std::vector<Slice>& slices,
     bucket[i].next = (i + 1 < d) ? static_cast<std::int64_t>(i) + 1 : -1;
   }
 
-  const auto merge_key = [&](const MergeBucket& a,
-                             const MergeBucket& b) -> double {
-    const MergeBucket m = Merged(a, b);
-    const double rho_m = Deviation(m, slices, options.policy);
-    if (options.merge_key == SsbmOptions::MergeKey::kMergedDeviation) {
-      return rho_m;
-    }
-    return rho_m - Deviation(a, slices, options.policy) -
-           Deviation(b, slices, options.policy);
-  };
-
-  if (options.use_quadratic_scan) {
-    // The paper's cost model: every merge rescans all surviving adjacent
-    // pairs (O(D) per merge, O(D^2) total).
-    std::size_t live = d;
-    while (live > static_cast<std::size_t>(buckets)) {
-      std::size_t best = d;
-      double best_key = 0.0;
-      for (std::int64_t i = 0; i >= 0;
-           i = bucket[static_cast<std::size_t>(i)].next) {
-        const MergeBucket& a = bucket[static_cast<std::size_t>(i)];
-        if (a.next < 0) break;
-        const MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-        const double key = merge_key(a, b);
-        if (best == d || key < best_key) {
-          best = static_cast<std::size_t>(i);
-          best_key = key;
-        }
-      }
-      DH_CHECK(best < d);
-      MergeBucket& a = bucket[best];
-      MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-      const MergeBucket m = Merged(a, b);
-      const std::int64_t after = b.next;
-      const std::int64_t a_prev = a.prev;
-      b.alive = false;
-      a = m;
-      a.prev = a_prev;
-      a.next = after;
-      a.alive = true;
-      if (after >= 0) {
-        bucket[static_cast<std::size_t>(after)].prev =
-            static_cast<std::int64_t>(best);
-      }
-      --live;
-    }
-    std::vector<internal::BucketSlice> out;
-    for (std::int64_t i = 0; i >= 0;
-         i = bucket[static_cast<std::size_t>(i)].next) {
-      const MergeBucket& b = bucket[static_cast<std::size_t>(i)];
-      out.push_back({b.first_entry, b.last_entry, IsSingular(slices, b)});
-    }
-    DH_CHECK(out.size() == static_cast<std::size_t>(buckets));
-    return internal::ModelFromPieceSlices(slices, out);
-  }
-
-  // Lazy min-heap of merge candidates; stale entries (version mismatch)
-  // are discarded on pop.
+  // Merging bucket `left_id` with its right neighbour, as of both buckets'
+  // versions.
   struct Candidate {
     double key;
     std::size_t left_id;
     std::uint32_t left_version;
     std::uint32_t right_version;
-    bool operator>(const Candidate& other) const { return key > other.key; }
+    // The merge order: smallest key first, ties to the leftmost pair. A
+    // merge folds the right bucket into the left one, so ids increase left
+    // to right and this is the pair the left-to-right scan picks.
+    bool operator>(const Candidate& other) const {
+      return std::tie(key, left_id) > std::tie(other.key, other.left_id);
+    }
   };
-  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
-  const auto push_candidate = [&](std::size_t left_id) {
+  const auto candidate = [&](std::size_t left_id) -> Candidate {
     const MergeBucket& a = bucket[left_id];
-    if (!a.alive || a.next < 0) return;
     const MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    heap.push({merge_key(a, b), left_id, a.version, b.version});
+    double key = Deviation(Merged(a, b), slices, options.policy);
+    if (options.merge_key == SsbmOptions::MergeKey::kDeviationIncrease) {
+      key = key - Deviation(a, slices, options.policy) -
+            Deviation(b, slices, options.policy);
+    }
+    return {key, left_id, a.version, b.version};
   };
-  for (std::size_t i = 0; i + 1 < d; ++i) push_candidate(i);
+
+  // Lazy min-heap over the adjacent pairs; an entry goes stale when either
+  // bucket merges again (version mismatch) and is discarded on pop.
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
+  if (!options.use_quadratic_scan) {
+    for (std::size_t i = 0; i + 1 < d; ++i) heap.push(candidate(i));
+  }
+
+  // The left bucket of the next pair to merge: the first Candidate in merge
+  // order among the surviving adjacent pairs.
+  const auto next_pair = [&]() -> std::size_t {
+    if (options.use_quadratic_scan) {
+      // The paper's cost model: every merge rescans all surviving adjacent
+      // pairs (O(D) per merge, O(D^2) total).
+      Candidate best = candidate(0);
+      for (std::int64_t i = bucket[0].next;
+           bucket[static_cast<std::size_t>(i)].next >= 0;
+           i = bucket[static_cast<std::size_t>(i)].next) {
+        const Candidate c = candidate(static_cast<std::size_t>(i));
+        if (best > c) best = c;
+      }
+      return best.left_id;
+    }
+    while (true) {
+      DH_CHECK(!heap.empty());
+      const Candidate c = heap.top();
+      heap.pop();
+      const MergeBucket& a = bucket[c.left_id];
+      if (a.alive && a.version == c.left_version && a.next >= 0 &&
+          bucket[static_cast<std::size_t>(a.next)].version ==
+              c.right_version) {
+        return c.left_id;
+      }
+    }
+  };
 
   std::size_t live = d;
   while (live > static_cast<std::size_t>(buckets)) {
-    DH_CHECK(!heap.empty());
-    const Candidate c = heap.top();
-    heap.pop();
-    MergeBucket& a = bucket[c.left_id];
-    if (!a.alive || a.version != c.left_version || a.next < 0) continue;
+    const std::size_t left_id = next_pair();
+    MergeBucket& a = bucket[left_id];
     MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    if (!b.alive || b.version != c.right_version) continue;
-
-    // Merge b into a.
-    const MergeBucket m = Merged(a, b);
-    const std::int64_t after = b.next;
+    MergeBucket m = Merged(a, b);
+    m.prev = a.prev;
+    m.next = b.next;
+    m.version = a.version + 1;
     b.alive = false;
-    const std::int64_t a_prev = a.prev;
-    const std::uint32_t a_version = a.version + 1;
     a = m;
-    a.prev = a_prev;
-    a.next = after;
-    a.version = a_version;
-    a.alive = true;
-    if (after >= 0) bucket[static_cast<std::size_t>(after)].prev =
-        static_cast<std::int64_t>(c.left_id);
+    if (a.next >= 0) {
+      bucket[static_cast<std::size_t>(a.next)].prev =
+          static_cast<std::int64_t>(left_id);
+    }
     --live;
-
-    if (a.prev >= 0) push_candidate(static_cast<std::size_t>(a.prev));
-    push_candidate(c.left_id);
+    if (!options.use_quadratic_scan) {
+      if (a.prev >= 0) heap.push(candidate(static_cast<std::size_t>(a.prev)));
+      if (a.next >= 0) heap.push(candidate(left_id));
+    }
   }
 
-  // Export surviving buckets as slice ranges in value order.
+  // Export the surviving buckets in value order. The head is always bucket
+  // 0: merges fold right buckets into left ones.
   std::vector<internal::BucketSlice> out;
   out.reserve(live);
-  std::int64_t id = 0;
-  while (id >= 0 && !bucket[static_cast<std::size_t>(id)].alive) ++id;
-  // The head is always bucket 0 (merges fold right buckets into left ones).
-  DH_CHECK(id == 0);
   for (std::int64_t i = 0; i >= 0;
        i = bucket[static_cast<std::size_t>(i)].next) {
     const MergeBucket& b = bucket[static_cast<std::size_t>(i)];

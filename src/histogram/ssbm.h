@@ -4,10 +4,12 @@
 // value) and repeatedly merges the adjacent bucket pair whose *merged*
 // bucket would have the smallest deviation rho_M (Eq. 4) — "merging the
 // most similar buckets first" — until only the requested number of buckets
-// remains. The paper reports SSBM quality comparable to V-Optimal at a
-// fraction of the construction cost; our implementation uses a lazy min-
-// heap over adjacent pairs (O(D log D) merges rather than the paper's
-// quadratic scan — same merge sequence, cheaper selection).
+// remains. Equal keys break to the leftmost pair, so the merge sequence is
+// a function of the input alone. The paper reports SSBM quality comparable
+// to V-Optimal at a fraction of the construction cost; our implementation
+// selects each merge from a lazy min-heap over adjacent pairs (O(D log D)
+// rather than the paper's quadratic scan — the same merge sequence, bit for
+// bit, with cheaper selection).
 
 #ifndef DYNHIST_HISTOGRAM_SSBM_H_
 #define DYNHIST_HISTOGRAM_SSBM_H_
@@ -35,8 +37,9 @@ struct SsbmOptions {
 
   /// Select each merge by a full scan over the surviving adjacent pairs —
   /// the paper's "quadratic in the number of distinct attribute values"
-  /// cost model (§5) — instead of the default lazy min-heap. Same merge
-  /// sequence, different complexity; used by the Fig. 13 cost benchmark.
+  /// cost model (§5) — instead of the default lazy min-heap. Both take the
+  /// smallest key, ties to the leftmost pair, so the output is identical;
+  /// only the cost differs. Used by the Fig. 13 cost benchmark.
   bool use_quadratic_scan = false;
 };
 

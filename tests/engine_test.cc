@@ -315,15 +315,22 @@ TEST(HistogramEngineTest, BackgroundThreadPublishesWithoutManualRefresh) {
 
 // Polls until `key`'s published snapshot holds `mass`, for up to 5 s:
 // ticks run on their own clock, so there is no call to wait on.
-bool WaitForPublishedMass(const HistogramEngine& engine, const char* key,
-                          double mass) {
+// Polls `done` every millisecond for up to 5 s.
+template <typename Predicate>
+bool WaitFor(Predicate done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (engine.Snapshot(key).TotalCount() < mass - 0.5) {
+  while (!done()) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+bool WaitForPublishedMass(const HistogramEngine& engine, const char* key,
+                          double mass) {
+  return WaitFor(
+      [&] { return engine.Snapshot(key).TotalCount() >= mass - 0.5; });
 }
 
 TEST(HistogramEngineTest, BackgroundTicksPublishThroughWorkers) {
@@ -350,13 +357,13 @@ TEST(HistogramEngineTest, BackgroundTicksPublishThroughWorkers) {
 
 TEST(HistogramEngineTest, BackgroundTicksNotStarvedByBusyQueue) {
   // One merge worker; a hot async key re-enqueues on every insert, so the
-  // queue is almost never empty. The cold key publishes by ticks alone.
+  // queue is almost never empty. The cold key publishes by ticks alone,
+  // and gets its updates only once the hot key's publishes are flowing.
   EngineOptions options = TestOptions();
   options.background_interval_ms = 2;
   options.merge_workers = 1;
   HistogramEngine engine(options);
   engine.SetKeyOptions("hot", {.snapshot_every = 1, .async_publish = true});
-  for (std::int64_t i = 0; i < 500; ++i) engine.Insert("cold", i);
 
   std::atomic<bool> done{false};
   std::thread hot([&] {
@@ -364,11 +371,14 @@ TEST(HistogramEngineTest, BackgroundTicksNotStarvedByBusyQueue) {
       engine.Insert("hot", i % kDomain);
     }
   });
+  const bool hot_publishing =
+      WaitFor([&] { return engine.Stats("hot").async_publishes >= 1; });
+  for (std::int64_t i = 0; i < 500; ++i) engine.Insert("cold", i);
   const bool published = WaitForPublishedMass(engine, "cold", 500.0);
   done.store(true);
   hot.join();
+  EXPECT_TRUE(hot_publishing);
   EXPECT_TRUE(published);
-  EXPECT_GE(engine.Stats("hot").async_publishes, 1u);
 }
 
 TEST(HistogramEngineTest, StopPublishWorkersStopsTicks) {

@@ -286,21 +286,24 @@ TEST(SliceSsbmTest, UnitSlicesReproducePerValueSsbmExactly) {
     v += 1 + static_cast<std::int64_t>(rng.UniformInt(4));
     entries.push_back({v, static_cast<double>(1 + rng.UniformInt(50))});
   }
-  std::vector<Piece> slices;
-  for (const ValueFreq& e : entries) {
-    const double left = static_cast<double>(e.value);
-    slices.push_back({left, left + 1.0, e.freq});
-  }
-  for (const auto policy :
-       {DeviationPolicy::kSquared, DeviationPolicy::kAbsolute}) {
-    SsbmOptions options;
-    options.policy = policy;
-    const HistogramModel a = BuildSsbm(entries, 24, options);
-    const HistogramModel b = BuildSsbm(slices, 24, options);
-    ASSERT_EQ(a.NumBuckets(), b.NumBuckets());
-    ASSERT_EQ(a.NumPieces(), b.NumPieces());
-    for (std::size_t i = 0; i < a.pieces().size(); ++i) {
-      EXPECT_EQ(a.pieces()[i], b.pieces()[i]);
+  // Equal frequencies with gaps: every merge key ties with others, so the
+  // tie order is pinned too.
+  std::vector<ValueFreq> ties;
+  for (std::int64_t i = 0; i < 120; ++i) ties.push_back({i + i / 9, 4.0});
+  for (const std::vector<ValueFreq>* input : {&entries, &ties}) {
+    std::vector<Piece> slices;
+    for (const ValueFreq& e : *input) {
+      const double left = static_cast<double>(e.value);
+      slices.push_back({left, left + 1.0, e.freq});
+    }
+    for (const auto policy :
+         {DeviationPolicy::kSquared, DeviationPolicy::kAbsolute}) {
+      SsbmOptions options;
+      options.policy = policy;
+      const HistogramModel a = BuildSsbm(*input, 24, options);
+      const HistogramModel b = BuildSsbm(slices, 24, options);
+      EXPECT_EQ(a.pieces(), b.pieces());
+      EXPECT_EQ(a.buckets(), b.buckets());
     }
   }
 }

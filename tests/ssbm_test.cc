@@ -97,14 +97,13 @@ TEST(SsbmTest, SingleEntryStaysSingular) {
 }
 
 TEST(SsbmTest, QuadraticScanMatchesHeap) {
-  // The O(D^2) paper-style selection and the lazy heap must produce the
-  // same merge sequence (up to ties), hence near-identical histograms.
+  // The O(D^2) paper-style selection and the lazy heap run the same merge
+  // sequence, hence identical histograms.
   Rng rng(6);
   std::vector<ValueFreq> entries;
   std::int64_t v = 0;
   for (int i = 0; i < 150; ++i) {
     v += 1 + static_cast<std::int64_t>(rng.UniformInt(4));
-    // Fractional frequencies make key ties measure-zero.
     entries.push_back({v, 1.0 + rng.UniformDouble() * 50.0});
   }
   SsbmOptions heap_options;
@@ -112,12 +111,50 @@ TEST(SsbmTest, QuadraticScanMatchesHeap) {
   scan_options.use_quadratic_scan = true;
   const auto heap_model = BuildSsbm(entries, 12, heap_options);
   const auto scan_model = BuildSsbm(entries, 12, scan_options);
-  ASSERT_EQ(heap_model.NumBuckets(), scan_model.NumBuckets());
-  ASSERT_EQ(heap_model.NumPieces(), scan_model.NumPieces());
-  for (std::size_t i = 0; i < heap_model.NumPieces(); ++i) {
-    EXPECT_DOUBLE_EQ(heap_model.pieces()[i].left, scan_model.pieces()[i].left);
-    EXPECT_NEAR(heap_model.pieces()[i].count, scan_model.pieces()[i].count,
-                1e-9);
+  EXPECT_EQ(heap_model.pieces(), scan_model.pieces());
+  EXPECT_EQ(heap_model.buckets(), scan_model.buckets());
+}
+
+TEST(SsbmTest, HeapAndScanAgreeExactlyOnTies) {
+  // Equal merge keys break to the leftmost pair under both selections, so
+  // inputs full of ties still give identical histograms.
+  const auto frequency = [](int shape, std::int64_t i) {
+    switch (shape) {
+      case 0: return 7.0;                       // equal
+      case 1: return i % 2 == 0 ? 1.0 : 3.0;    // alternating 1/3
+      default: return i % 5 == 0 ? 40.0 : 2.0;  // period-5 spikes
+    }
+  };
+  for (const int shape : {0, 1, 2}) {
+    for (const std::int64_t n : {10, 17, 64, 100, 257}) {
+      std::vector<ValueFreq> entries;
+      std::int64_t v = 0;
+      for (std::int64_t i = 0; i < n; ++i) {
+        v += (i % 7 == 3) ? 3 : 1;  // gaps of 2 empty values
+        entries.push_back({v, frequency(shape, i)});
+      }
+      for (const std::int64_t buckets : {1, 2, 3, 5, 8, 16}) {
+        for (const auto policy :
+             {DeviationPolicy::kSquared, DeviationPolicy::kAbsolute}) {
+          for (const auto key : {SsbmOptions::MergeKey::kMergedDeviation,
+                                 SsbmOptions::MergeKey::kDeviationIncrease}) {
+            SsbmOptions heap_options;
+            heap_options.policy = policy;
+            heap_options.merge_key = key;
+            SsbmOptions scan_options = heap_options;
+            scan_options.use_quadratic_scan = true;
+            const auto heap_model = BuildSsbm(entries, buckets, heap_options);
+            const auto scan_model = BuildSsbm(entries, buckets, scan_options);
+            SCOPED_TRACE(::testing::Message()
+                         << "shape " << shape << " n " << n << " buckets "
+                         << buckets << " policy " << static_cast<int>(policy)
+                         << " key " << static_cast<int>(key));
+            EXPECT_EQ(heap_model.pieces(), scan_model.pieces());
+            EXPECT_EQ(heap_model.buckets(), scan_model.buckets());
+          }
+        }
+      }
+    }
   }
 }
 
