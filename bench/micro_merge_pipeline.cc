@@ -16,7 +16,13 @@
 // The bench exits nonzero if any of that fails, so check.sh catches merge-
 // pipeline regressions.
 //
-// Phase 2 — ingest throughput with batch coalescing on vs off, single
+// Phase 2 — slice-input BuildSsbm alone (the reduction step of every
+// publish) on random slices at 512, 900 and 4,000 slices down to the
+// merged budget: cost per call and per slice. Report only, no gate: the
+// indexed heap is O(log n) per slice, so the per-slice cost grows slowly
+// with n by design.
+//
+// Phase 3 — ingest throughput with batch coalescing on vs off, single
 // writer, Zipf(1) stream (duplicate-heavy), swept over batch sizes.
 //
 // Flags: the shared bench flags (--quick, --points=N, --json).
@@ -90,6 +96,22 @@ double MicrosPerCall(const Fn& fn, double min_seconds, int max_reps) {
     ++reps;
   } while (reps < max_reps && SecondsSince(start) < min_seconds);
   return SecondsSince(start) / static_cast<double>(reps) * 1e6;
+}
+
+// `n` ascending random slices: widths 1-3, some gaps, fractional counts.
+std::vector<HistogramModel::Piece> RandomSlices(std::size_t n,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<HistogramModel::Piece> slices;
+  slices.reserve(n);
+  double x = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.2)) x += 1.0;
+    const auto width = static_cast<double>(1 + rng.UniformInt(3));
+    slices.push_back({x, x + width, rng.UniformDouble(0.0, 100.0)});
+    x += width;
+  }
+  return slices;
 }
 
 double RelativeDiff(double a, double b) {
@@ -211,7 +233,27 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- Phase 2: coalesced-batch ingest --------------------------------
+  // ---- Phase 2: BuildSsbm per slice (report only) ----------------------
+  const std::vector<double> slice_counts = {512, 900, 4'000};
+  std::printf("\n%-12s%16s%16s\n", "slices", "BuildSsbm [us]", "ns/slice");
+  std::vector<double> ssbm_us, ssbm_ns_per_slice;
+  for (const double n : slice_counts) {
+    const auto slices =
+        RandomSlices(static_cast<std::size_t>(n), /*seed=*/37);
+    HistogramModel reduced;
+    const double us = MicrosPerCall(
+        [&] { reduced = BuildSsbm(slices, kMergedBuckets); },
+        /*min_seconds=*/options.quick ? 0.05 : 0.2, /*max_reps=*/2'000);
+    ssbm_us.push_back(us);
+    ssbm_ns_per_slice.push_back(us * 1e3 / n);
+    std::printf("%-12.0f%16.1f%16.1f\n", n, us, us * 1e3 / n);
+    std::fflush(stdout);
+  }
+  EmitJsonSeries("micro_merge_pipeline", "ssbm_us", slice_counts, ssbm_us);
+  EmitJsonSeries("micro_merge_pipeline", "ssbm_ns_per_slice", slice_counts,
+                 ssbm_ns_per_slice);
+
+  // ---- Phase 3: coalesced-batch ingest --------------------------------
   const std::vector<double> batch_sizes =
       options.quick ? std::vector<double>{64, 256}
                     : std::vector<double>{64, 256, 1024};

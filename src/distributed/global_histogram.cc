@@ -4,30 +4,20 @@
 
 #include "src/common/check.h"
 #include "src/histogram/budget.h"
-#include "src/histogram/ssbm.h"
 
 namespace dynhist::distributed {
 
 namespace {
 
-// Pieces whose density (the mass of one unit cell) is below this are
-// empty space to the reduction.
-constexpr double kMinDensity = 1e-12;
-
-// SSBM over the nonzero-density `pieces`, staged in *slices (reused).
-HistogramModel ReducePieces(const std::vector<HistogramModel::Piece>& pieces,
-                            std::int64_t buckets,
-                            std::vector<HistogramModel::Piece>* slices) {
-  slices->clear();
-  for (const HistogramModel::Piece& p : pieces) {
-    if (p.Density() > kMinDensity) slices->push_back(p);
-  }
-  if (slices->empty()) return HistogramModel();
-  return BuildSsbm(*slices, buckets);
+// Whether the reduction keeps `p`: pieces whose density (the mass of one
+// unit cell) is at most 1e-12 are empty space to it.
+bool KeptByReduction(const HistogramModel::Piece& p) {
+  return p.Density() > 1e-12;
 }
 
 }  // namespace
 
+template <bool nonzero_only>
 void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
   pieces_.clear();
   cursors_.clear();
@@ -59,8 +49,9 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
         // Zero-mass but covered ranges keep a piece: the merged support is
         // exactly the union of the inputs' supports. The density clamp
         // absorbs residual negative rounding from the on/off deltas.
-        pieces_.push_back(
-            {cur_x, top.x, std::max(0.0, density) * (top.x - cur_x)});
+        const HistogramModel::Piece piece = {
+            cur_x, top.x, std::max(0.0, density) * (top.x - cur_x)};
+        if (!nonzero_only || KeptByReduction(piece)) pieces_.push_back(piece);
       }
       cur_x = top.x;
     } else if (!started) {
@@ -93,7 +84,7 @@ void SnapshotMerger::SweepInto(const std::vector<HistogramModel>& models) {
 
 HistogramModel SnapshotMerger::Superimpose(
     const std::vector<HistogramModel>& models) {
-  SweepInto(models);
+  SweepInto<false>(models);
   if (pieces_.empty()) return HistogramModel();
   std::vector<HistogramModel::Piece> pieces(pieces_);  // scratch stays warm
   return HistogramModel::FromSimpleBuckets(std::move(pieces));
@@ -103,8 +94,9 @@ HistogramModel SnapshotMerger::MergeAndReduce(
     const std::vector<HistogramModel>& models, std::int64_t buckets,
     ReduceMode) {
   if (buckets <= 0) return Superimpose(models);
-  SweepInto(models);
-  return ReducePieces(pieces_, buckets, &slices_);
+  SweepInto<true>(models);
+  if (pieces_.empty()) return HistogramModel();
+  return ssbm_.Build(pieces_, buckets);
 }
 
 HistogramModel Superimpose(const std::vector<HistogramModel>& models) {
@@ -116,7 +108,11 @@ HistogramModel ReduceWithSsbm(const HistogramModel& model,
                               std::int64_t buckets) {
   std::vector<HistogramModel::Piece> slices;
   slices.reserve(model.NumPieces());
-  return ReducePieces(model.pieces(), buckets, &slices);
+  for (const HistogramModel::Piece& p : model.pieces()) {
+    if (KeptByReduction(p)) slices.push_back(p);
+  }
+  if (slices.empty()) return HistogramModel();
+  return BuildSsbm(slices, buckets);
 }
 
 HistogramModel BuildGlobalHistogram(const std::vector<Site>& sites,

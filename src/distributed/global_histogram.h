@@ -30,6 +30,7 @@
 
 #include "src/distributed/site.h"
 #include "src/histogram/model.h"
+#include "src/histogram/ssbm.h"
 
 namespace dynhist::distributed {
 
@@ -59,10 +60,12 @@ HistogramModel ReduceWithSsbm(const HistogramModel& model,
                               std::int64_t buckets);
 
 /// Reusable merge pipeline: superimpose + optional SSBM reduction with all
-/// intermediate buffers (sweep cursors, composite pieces, reduction slices)
-/// retained across calls, so a steady-state publisher allocates nothing
-/// proportional to the inputs. Not thread-safe; the engine keeps one per
-/// key under its publish lock.
+/// intermediate buffers (sweep cursors, composite pieces, the SSBM merge
+/// buckets and indexed pair heap) retained across calls, so a steady-state
+/// publisher allocates nothing proportional to the inputs, the reduction
+/// included: only the returned model is new. Not thread-safe; the engine
+/// keeps one per publishing thread, the aggregator one per key under its
+/// mutex.
 class SnapshotMerger {
  public:
   /// Lossless superposition (same result as the free Superimpose).
@@ -70,8 +73,9 @@ class SnapshotMerger {
 
   /// Superimpose + ReduceWithSsbm to `buckets` (<= 0 publishes the
   /// composite unreduced). The composite model is never materialized:
-  /// the sweep's pieces stream straight into the slice-input SSBM. Empty
-  /// models are skipped, so callers may pass them in place.
+  /// the sweep keeps only its nonzero-density pieces, which are the
+  /// slice-input SSBM's input as they stand. Empty models are skipped, so
+  /// callers may pass them in place.
   HistogramModel MergeAndReduce(const std::vector<HistogramModel>& models,
                                 std::int64_t buckets,
                                 ReduceMode = ReduceMode::kPieces);
@@ -89,12 +93,17 @@ class SnapshotMerger {
     double active_density = 0.0;  // density added by the current left event
   };
 
-  // Runs the sweep over `models` into pieces_.
+  // Runs the sweep over `models` into pieces_: the composite, exactly
+  // tiling, or with `nonzero_only` just the pieces a reduction keeps. A
+  // template parameter, not an argument: with a run-time flag the plain
+  // superposition measured ~8% slower, paying for the filter's density
+  // division on every piece.
+  template <bool nonzero_only>
   void SweepInto(const std::vector<HistogramModel>& models);
 
   std::vector<Cursor> cursors_;
-  std::vector<HistogramModel::Piece> pieces_;  // composite, exactly tiling
-  std::vector<HistogramModel::Piece> slices_;  // nonzero pieces for SSBM
+  std::vector<HistogramModel::Piece> pieces_;
+  SsbmBuilder ssbm_;
 
   struct HeapEntry {
     double x = 0.0;

@@ -157,6 +157,22 @@ void AccumulateStats(const internal::KeyState& state, EngineStats* stats) {
   stats->snapshot_epoch += state.epoch.load(std::memory_order_acquire);
 }
 
+// Publish-path scratch reused across publishes: the exported shard models
+// and the merger's sweep and SSBM buffers, so a steady-state publisher
+// allocates nothing proportional to the shard count or piece count. There
+// is one per publishing thread, not one per key: a thread merges one key
+// at a time, and per-key copies would hold tens of KB per key between
+// publishes.
+struct PublishScratch {
+  std::vector<HistogramModel> models;
+  distributed::SnapshotMerger merger;
+};
+
+PublishScratch& ThreadPublishScratch() {
+  thread_local PublishScratch scratch;
+  return scratch;
+}
+
 std::size_t BufferedOpsOf(const internal::KeyState& state) {
   std::size_t buffered = 0;
   for (const auto& shard : state.shards) buffered += shard->BufferedOps();
@@ -941,7 +957,8 @@ EngineSnapshot HistogramEngine::Publish(
   const std::uint64_t watermark =
       state.update_count.load(std::memory_order_relaxed);
 
-  std::vector<HistogramModel>& models = state.model_scratch;
+  PublishScratch& scratch = ThreadPublishScratch();
+  std::vector<HistogramModel>& models = scratch.models;
   models.clear();
   for (const auto& shard : state.shards) {
     HistogramModel model = shard->ExportModel();
@@ -950,7 +967,7 @@ EngineSnapshot HistogramEngine::Publish(
   const std::uint64_t exported_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;
 
-  const HistogramModel merged = state.merger.MergeAndReduce(
+  const HistogramModel merged = scratch.merger.MergeAndReduce(
       models, state.merged_buckets.load(std::memory_order_relaxed));
   const std::uint64_t merged_ns =
       telemetry_on_ ? trace_.NowNs() : start_ns;

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/distributed/global_histogram.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
@@ -126,13 +125,6 @@ struct KeyState {
   // gauge — 0 while the reader fleet is current, >0 between a publish
   // and the first revalidation that observes it.
   std::atomic<std::uint64_t> last_leased_version{0};
-
-  // Publish-path scratch reused across epochs (guarded by publish_mu):
-  // the exported shard models and the merger's sweep/reduction buffers,
-  // so a steady-state publisher allocates nothing proportional to the
-  // shard count or piece count.
-  std::vector<HistogramModel> model_scratch;
-  distributed::SnapshotMerger merger;
 };
 
 }  // namespace dynhist::engine::internal

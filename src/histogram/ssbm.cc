@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <tuple>
+#include <limits>
 
 #include "src/common/check.h"
-#include "src/histogram/static_common.h"
 
 namespace dynhist {
 
@@ -14,41 +12,33 @@ namespace {
 
 using Slice = HistogramModel::Piece;
 
-// Live bucket state during merging, over piecewise-uniform input slices (a
-// distinct integer value is the width-1 slice [v, v+1)). Extents are *data*
-// extents [first slice left, last slice right); the gap between two buckets
-// joins the merged bucket's extent when they merge (its zero density then
-// counts toward the deviation, per Eq. 3/5 with j over all domain values).
-// `sum_dsq` is the integral of the squared density over the covered slices,
-// which for width-1 slices is exactly the paper's sum of squared
-// frequencies — so unit-slice input reproduces the per-value algorithm bit
-// for bit. The exported model uses the convention of ModelFromPieceSlices.
-struct MergeBucket {
-  std::size_t first_entry = 0;
-  std::size_t last_entry = 0;
-  double left = 0.0;    // left border of the first slice
-  double right = 0.0;   // right border of the last slice
-  double total = 0.0;   // sum of slice counts
-  double sum_dsq = 0.0; // integral of density^2 over the covered slices
-  std::int64_t prev = -1;
-  std::int64_t next = -1;
-  std::uint32_t version = 0;
-  bool alive = true;
+// "No neighbour" in MergeBucket::prev/next.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+// A bucket, live or candidate, over input slices [first, end): its data
+// extent, count and integral of squared density. The exported model uses
+// the convention of ModelFromPieceSlices.
+struct Span {
+  double left = 0.0;
+  double right = 0.0;
+  double total = 0.0;
+  double sum_dsq = 0.0;
+  std::size_t first = 0;
+  std::size_t end = 0;
 };
 
-double SquaredDeviation(const MergeBucket& b) {
-  const double width = b.right - b.left;
-  return std::max(0.0, b.sum_dsq - b.total * b.total / width);
+double SquaredDeviation(const Span& s) {
+  const double width = s.right - s.left;
+  return std::max(0.0, s.sum_dsq - s.total * s.total / width);
 }
 
 // Absolute deviation requires the individual densities; O(span).
-double AbsoluteDeviation(const MergeBucket& b,
-                         const std::vector<Slice>& slices) {
-  const double width = b.right - b.left;
-  const double avg = b.total / width;
+double AbsoluteDeviation(const Span& s, const std::vector<Slice>& slices) {
+  const double width = s.right - s.left;
+  const double avg = s.total / width;
   double dev = 0.0;
   double covered = 0.0;
-  for (std::size_t i = b.first_entry; i <= b.last_entry; ++i) {
+  for (std::size_t i = s.first; i < s.end; ++i) {
     const double w = slices[i].Width();
     dev += w * std::fabs(slices[i].count / w - avg);
     covered += w;
@@ -57,155 +47,193 @@ double AbsoluteDeviation(const MergeBucket& b,
   return dev;
 }
 
-double Deviation(const MergeBucket& b, const std::vector<Slice>& slices,
+double Deviation(const Span& s, const std::vector<Slice>& slices,
                  DeviationPolicy policy) {
-  return policy == DeviationPolicy::kSquared ? SquaredDeviation(b)
-                                             : AbsoluteDeviation(b, slices);
-}
-
-MergeBucket Merged(const MergeBucket& a, const MergeBucket& b) {
-  DH_DCHECK(a.last_entry + 1 == b.first_entry);
-  MergeBucket m;
-  m.first_entry = a.first_entry;
-  m.last_entry = b.last_entry;
-  m.left = a.left;
-  m.right = b.right;
-  m.total = a.total + b.total;
-  m.sum_dsq = a.sum_dsq + b.sum_dsq;
-  return m;
-}
-
-bool IsSingular(const std::vector<Slice>& slices, const MergeBucket& b) {
-  return b.first_entry == b.last_entry &&
-         slices[b.first_entry].Width() == 1.0;
+  return policy == DeviationPolicy::kSquared ? SquaredDeviation(s)
+                                             : AbsoluteDeviation(s, slices);
 }
 
 }  // namespace
 
-HistogramModel BuildSsbm(const std::vector<Slice>& slices,
-                         std::int64_t buckets, const SsbmOptions& options) {
+void SsbmBuilder::Place(std::size_t i, const PairEntry& e) {
+  heap_[i] = e;
+  pos_[e.left_id] = static_cast<std::uint32_t>(i);
+}
+
+void SsbmBuilder::SiftUp(std::size_t i) {
+  const PairEntry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(e < heap_[parent])) break;
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, e);
+}
+
+void SsbmBuilder::SiftDown(std::size_t i) {
+  const PairEntry e = heap_[i];
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < e)) break;
+    Place(i, heap_[child]);
+    i = child;
+  }
+  Place(i, e);
+}
+
+// Restores the heap order after the key at position i changed either way
+// (a kDeviationIncrease key can fall when its bucket grows).
+void SsbmBuilder::Fix(std::size_t i) {
+  if (i > 0 && heap_[i] < heap_[(i - 1) / 2]) {
+    SiftUp(i);
+  } else {
+    SiftDown(i);
+  }
+}
+
+void SsbmBuilder::Erase(std::uint32_t left_id) {
+  const std::size_t i = pos_[left_id];
+  const PairEntry last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    Place(i, last);
+    Fix(i);
+  }
+}
+
+HistogramModel SsbmBuilder::Build(const std::vector<Slice>& slices,
+                                  std::int64_t buckets,
+                                  const SsbmOptions& options) {
   DH_CHECK(buckets >= 1);
   if (slices.empty()) return HistogramModel();
   const std::size_t d = slices.size();
+  DH_CHECK(d < kNone);
   for (std::size_t i = 0; i < d; ++i) {
     DH_CHECK(slices[i].right > slices[i].left && slices[i].count >= 0.0);
     // Same overlap tolerance as the HistogramModel constructor.
     if (i > 0) DH_CHECK(slices[i].left >= slices[i - 1].right - 1e-9);
   }
+  out_.clear();
+  out_.reserve(std::min(d, static_cast<std::size_t>(buckets)));
   if (static_cast<std::size_t>(buckets) >= d) {
-    std::vector<internal::BucketSlice> out(d);
     for (std::size_t i = 0; i < d; ++i) {
-      out[i] = {i, i, /*singular=*/slices[i].Width() == 1.0};
+      out_.push_back({i, i, /*singular=*/slices[i].Width() == 1.0});
     }
-    return internal::ModelFromPieceSlices(slices, out);
+    return internal::ModelFromPieceSlices(slices, out_);
   }
 
   // The exact histogram: one bucket per input slice (rho = 0).
-  std::vector<MergeBucket> bucket(d);
+  bucket_.resize(d);
   for (std::size_t i = 0; i < d; ++i) {
-    bucket[i].first_entry = bucket[i].last_entry = i;
-    bucket[i].left = slices[i].left;
-    bucket[i].right = slices[i].right;
-    bucket[i].total = slices[i].count;
-    bucket[i].sum_dsq = slices[i].count * slices[i].count / slices[i].Width();
-    bucket[i].prev = static_cast<std::int64_t>(i) - 1;
-    bucket[i].next = (i + 1 < d) ? static_cast<std::int64_t>(i) + 1 : -1;
+    MergeBucket& b = bucket_[i];
+    b.left = slices[i].left;
+    b.right = slices[i].right;
+    b.total = slices[i].count;
+    b.sum_dsq = slices[i].count * slices[i].count / slices[i].Width();
+    b.prev = i > 0 ? static_cast<std::uint32_t>(i - 1) : kNone;
+    b.next = i + 1 < d ? static_cast<std::uint32_t>(i + 1) : kNone;
   }
 
-  // Merging bucket `left_id` with its right neighbour, as of both buckets'
-  // versions.
-  struct Candidate {
-    double key;
-    std::size_t left_id;
-    std::uint32_t left_version;
-    std::uint32_t right_version;
-    // The merge order: smallest key first, ties to the leftmost pair. A
-    // merge folds the right bucket into the left one, so ids increase left
-    // to right and this is the pair the left-to-right scan picks.
-    bool operator>(const Candidate& other) const {
-      return std::tie(key, left_id) > std::tie(other.key, other.left_id);
-    }
+  const auto span = [&](std::uint32_t id) -> Span {
+    const MergeBucket& b = bucket_[id];
+    return {b.left, b.right, b.total, b.sum_dsq, id,
+            b.next == kNone ? d : b.next};
   };
-  const auto candidate = [&](std::size_t left_id) -> Candidate {
-    const MergeBucket& a = bucket[left_id];
-    const MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    double key = Deviation(Merged(a, b), slices, options.policy);
+  // Merging bucket `left_id` with its right neighbour.
+  const auto pair_entry = [&](std::uint32_t left_id) -> PairEntry {
+    const Span a = span(left_id);
+    const Span b = span(bucket_[left_id].next);
+    const Span merged = {a.left,    b.right,  a.total + b.total,
+                         a.sum_dsq + b.sum_dsq, a.first, b.end};
+    double key = Deviation(merged, slices, options.policy);
     if (options.merge_key == SsbmOptions::MergeKey::kDeviationIncrease) {
       key = key - Deviation(a, slices, options.policy) -
             Deviation(b, slices, options.policy);
     }
-    return {key, left_id, a.version, b.version};
+    return {key, left_id};
   };
 
-  // Lazy min-heap over the adjacent pairs; an entry goes stale when either
-  // bucket merges again (version mismatch) and is discarded on pop.
-  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
+  // Indexed min-heap over the adjacent pairs, keyed by left bucket id:
+  // exactly the live pairs, each with its current key, so the top is the
+  // next pair to merge.
+  heap_.clear();
   if (!options.use_quadratic_scan) {
-    for (std::size_t i = 0; i + 1 < d; ++i) heap.push(candidate(i));
+    heap_.reserve(d - 1);
+    pos_.resize(d - 1);
+    for (std::uint32_t i = 0; i + 1 < d; ++i) {
+      heap_.push_back(pair_entry(i));
+      pos_[i] = i;
+    }
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
   }
 
-  // The left bucket of the next pair to merge: the first Candidate in merge
+  // The left bucket of the next pair to merge: the first pair in merge
   // order among the surviving adjacent pairs.
-  const auto next_pair = [&]() -> std::size_t {
+  const auto next_pair = [&]() -> std::uint32_t {
     if (options.use_quadratic_scan) {
       // The paper's cost model: every merge rescans all surviving adjacent
       // pairs (O(D) per merge, O(D^2) total).
-      Candidate best = candidate(0);
-      for (std::int64_t i = bucket[0].next;
-           bucket[static_cast<std::size_t>(i)].next >= 0;
-           i = bucket[static_cast<std::size_t>(i)].next) {
-        const Candidate c = candidate(static_cast<std::size_t>(i));
-        if (best > c) best = c;
+      PairEntry best = pair_entry(0);
+      for (std::uint32_t i = bucket_[0].next; bucket_[i].next != kNone;
+           i = bucket_[i].next) {
+        const PairEntry c = pair_entry(i);
+        if (c < best) best = c;
       }
       return best.left_id;
     }
-    while (true) {
-      DH_CHECK(!heap.empty());
-      const Candidate c = heap.top();
-      heap.pop();
-      const MergeBucket& a = bucket[c.left_id];
-      if (a.alive && a.version == c.left_version && a.next >= 0 &&
-          bucket[static_cast<std::size_t>(a.next)].version ==
-              c.right_version) {
-        return c.left_id;
-      }
-    }
+    return heap_.front().left_id;
   };
 
   std::size_t live = d;
   while (live > static_cast<std::size_t>(buckets)) {
-    const std::size_t left_id = next_pair();
-    MergeBucket& a = bucket[left_id];
-    MergeBucket& b = bucket[static_cast<std::size_t>(a.next)];
-    MergeBucket m = Merged(a, b);
-    m.prev = a.prev;
-    m.next = b.next;
-    m.version = a.version + 1;
-    b.alive = false;
-    a = m;
-    if (a.next >= 0) {
-      bucket[static_cast<std::size_t>(a.next)].prev =
-          static_cast<std::int64_t>(left_id);
-    }
+    const std::uint32_t left_id = next_pair();
+    MergeBucket& a = bucket_[left_id];
+    const std::uint32_t right_id = a.next;
+    const MergeBucket& b = bucket_[right_id];
+    a.right = b.right;
+    a.total += b.total;
+    a.sum_dsq += b.sum_dsq;
+    a.next = b.next;
+    if (a.next != kNone) bucket_[a.next].prev = left_id;
     --live;
     if (!options.use_quadratic_scan) {
-      if (a.prev >= 0) heap.push(candidate(static_cast<std::size_t>(a.prev)));
-      if (a.next >= 0) heap.push(candidate(left_id));
+      // The right bucket's pair is gone; the merged pair (still the top:
+      // nothing precedes the minimum) and its left neighbour get new keys
+      // in place.
+      DH_DCHECK(heap_.front().left_id == left_id);
+      if (a.next != kNone) {
+        Erase(right_id);
+        heap_.front() = pair_entry(left_id);
+        SiftDown(0);
+      } else {
+        Erase(left_id);
+      }
+      if (a.prev != kNone) {
+        heap_[pos_[a.prev]] = pair_entry(a.prev);
+        Fix(pos_[a.prev]);
+      }
     }
   }
 
   // Export the surviving buckets in value order. The head is always bucket
   // 0: merges fold right buckets into left ones.
-  std::vector<internal::BucketSlice> out;
-  out.reserve(live);
-  for (std::int64_t i = 0; i >= 0;
-       i = bucket[static_cast<std::size_t>(i)].next) {
-    const MergeBucket& b = bucket[static_cast<std::size_t>(i)];
-    DH_CHECK(b.alive);
-    out.push_back({b.first_entry, b.last_entry, IsSingular(slices, b)});
+  for (std::uint32_t i = 0; i != kNone; i = bucket_[i].next) {
+    const std::size_t last = bucket_[i].next == kNone ? d - 1
+                                                      : bucket_[i].next - 1;
+    out_.push_back({i, last, i == last && slices[i].Width() == 1.0});
   }
-  DH_CHECK(out.size() == static_cast<std::size_t>(buckets));
-  return internal::ModelFromPieceSlices(slices, out);
+  DH_CHECK(out_.size() == static_cast<std::size_t>(buckets));
+  return internal::ModelFromPieceSlices(slices, out_);
+}
+
+HistogramModel BuildSsbm(const std::vector<Slice>& slices,
+                         std::int64_t buckets, const SsbmOptions& options) {
+  SsbmBuilder builder;
+  return builder.Build(slices, buckets, options);
 }
 
 HistogramModel BuildSsbm(const std::vector<ValueFreq>& entries,

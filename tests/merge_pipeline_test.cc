@@ -276,6 +276,59 @@ TEST(SnapshotMergerTest, ReusedMergerMatchesFreeFunctions) {
   }
 }
 
+// A random model of about `pieces` pieces, with gaps, fractional borders
+// and some zero-mass pieces (which the reduction drops).
+HistogramModel RandomModel(Rng& rng, std::size_t pieces) {
+  std::vector<Piece> out;
+  double x = rng.UniformDouble(0.0, 50.0);
+  for (std::size_t i = 0; i < pieces; ++i) {
+    if (rng.Bernoulli(0.2)) x += rng.UniformDouble(0.0, 5.0);
+    const double width = rng.Bernoulli(0.5)
+                             ? static_cast<double>(1 + rng.UniformInt(4))
+                             : rng.UniformDouble(0.25, 6.0);
+    const double count =
+        rng.Bernoulli(0.1) ? 0.0 : static_cast<double>(rng.UniformInt(20));
+    out.push_back({x, x + width, count});
+    x += width;
+  }
+  return HistogramModel::FromSimpleBuckets(std::move(out));
+}
+
+TEST(SnapshotMergerTest, ReusedScratchIsInvisible) {
+  // One merger carries its sweep and SSBM scratch from call to call while
+  // the inputs grow and shrink; every result must equal a fresh merger's
+  // bit for bit.
+  const std::size_t sizes[] = {3, 200, 20, 900, 5, 400, 1, 60, 700, 8};
+  Rng rng(2024);
+  SnapshotMerger reused;
+  for (int step = 0; step < 40; ++step) {
+    const std::size_t target = sizes[step % std::size(sizes)];
+    const auto model_count = static_cast<std::size_t>(1 + rng.UniformInt(8));
+    std::vector<HistogramModel> models;
+    for (std::size_t m = 0; m < model_count; ++m) {
+      models.push_back(rng.Bernoulli(0.2)
+                           ? HistogramModel()
+                           : RandomModel(rng, 1 + target / model_count));
+    }
+    const std::size_t composite = SnapshotMerger().Superimpose(models)
+                                      .NumPieces();
+    for (const std::int64_t buckets :
+         {std::int64_t{1}, std::int64_t{64},
+          static_cast<std::int64_t>(composite),
+          static_cast<std::int64_t>(composite) + 7, std::int64_t{0}}) {
+      SCOPED_TRACE(::testing::Message() << "step " << step << " models "
+                                        << model_count << " composite "
+                                        << composite << " buckets "
+                                        << buckets);
+      const HistogramModel got = reused.MergeAndReduce(models, buckets);
+      const HistogramModel want = SnapshotMerger().MergeAndReduce(models,
+                                                                  buckets);
+      EXPECT_EQ(got.pieces(), want.pieces());
+      EXPECT_EQ(got.buckets(), want.buckets());
+    }
+  }
+}
+
 TEST(SliceSsbmTest, UnitSlicesReproducePerValueSsbmExactly) {
   // The ValueFreq overload now routes through the slice core; feeding the
   // equivalent unit slices by hand must give identical buckets.

@@ -158,6 +158,59 @@ TEST(SsbmTest, HeapAndScanAgreeExactlyOnTies) {
   }
 }
 
+TEST(SsbmTest, HeapAndScanAgreeExactlyOnRandomSlices) {
+  // Seeded random slice inputs: unit or wide slices with gaps, and
+  // fractional, small-integer or tie-heavy counts. kDeviationIncrease keys
+  // can fall when a bucket grows, so the heap's sift-up path runs too.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const bool wide = seed % 2 == 0;
+    const std::uint64_t counts = seed % 3;  // 0 fractional, 1 small, 2 ties
+    const auto n = static_cast<std::size_t>(2 + rng.UniformInt(150));
+    std::vector<HistogramModel::Piece> slices;
+    double x = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.25)) x += static_cast<double>(1 + rng.UniformInt(3));
+      const double width =
+          wide ? static_cast<double>(1 + rng.UniformInt(4)) +
+                     (rng.Bernoulli(0.3) ? 0.5 : 0.0)
+               : 1.0;
+      const double count =
+          counts == 0   ? rng.UniformDouble(0.0, 50.0)
+          : counts == 1 ? static_cast<double>(rng.UniformInt(5))
+                        : (rng.Bernoulli(0.8) ? 6.0 : 2.0);
+      slices.push_back({x, x + width, count});
+      x += width;
+    }
+    for (const std::int64_t buckets :
+         {std::int64_t{1}, std::int64_t{2}, std::int64_t{5}, std::int64_t{16},
+          static_cast<std::int64_t>(n) - 1}) {
+      if (buckets < 1) continue;
+      for (const auto policy :
+           {DeviationPolicy::kSquared, DeviationPolicy::kAbsolute}) {
+        for (const auto key : {SsbmOptions::MergeKey::kMergedDeviation,
+                               SsbmOptions::MergeKey::kDeviationIncrease}) {
+          SsbmOptions heap_options;
+          heap_options.policy = policy;
+          heap_options.merge_key = key;
+          SsbmOptions scan_options = heap_options;
+          scan_options.use_quadratic_scan = true;
+          const auto heap_model = BuildSsbm(slices, buckets, heap_options);
+          const auto scan_model = BuildSsbm(slices, buckets, scan_options);
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " n " << n << " buckets "
+                       << buckets << " policy " << static_cast<int>(policy)
+                       << " key " << static_cast<int>(key));
+          ASSERT_EQ(heap_model.NumBuckets(),
+                    std::min(n, static_cast<std::size_t>(buckets)));
+          EXPECT_EQ(heap_model.pieces(), scan_model.pieces());
+          EXPECT_EQ(heap_model.buckets(), scan_model.buckets());
+        }
+      }
+    }
+  }
+}
+
 TEST(SsbmTest, TotalMassInvariantUnderMerging) {
   Rng rng(5);
   std::vector<ValueFreq> entries;
