@@ -33,13 +33,13 @@
 // A sixth phase gates the compiled query path: the same preloaded,
 // published snapshot is queried three ways — through PieceWalkReplica (a
 // bench-local, step-for-step copy of the engine's pre-arena string read
-// path, the baseline whose 1-thread number is the BENCH_PR4
-// queries_per_sec series), through the engine and its CompiledSnapshot
-// arena, and against a held snapshot's arena directly (no registry
-// lookup, the pure query-path cost). Queries are timed in batches of 64
-// (per-query cost is below the clock's own overhead) and the batch
-// distribution yields the query p99. The phase FAILS the run if the arena
-// is not >= 5x the piece-walk baseline — the PR-7 acceptance gate.
+// path, walking the pieces with tests/piece_walk_reference.h), through
+// the engine and its CompiledSnapshot arena, and against a held
+// snapshot's arena directly (no registry lookup, the pure query-path
+// cost). Queries are timed in batches of 64 (per-query cost is below the
+// clock's own overhead) and the batch distribution yields the query p99.
+// The phase FAILS the run if the arena is not >= 5x the piece-walk
+// baseline — the compiled-query acceptance gate.
 //
 // A seventh phase gates the epoch-pinned reader fast path: the same
 // published snapshot queried by 1/2/4 reader threads through three
@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "tests/piece_walk_reference.h"
 
 namespace dynhist::bench {
 namespace {
@@ -274,16 +275,17 @@ double MeasurePlannedQueries(const QueryPlan& plan,
 /// shared_mutex, acquire load of the key's atomic<shared_ptr> model,
 /// the per-key query counter, the every-1024th latency sample, the
 /// model's piece walk, and the fallback-query counter. The engine itself
-/// holds only compiled arenas, so the gate's baseline (and its model,
-/// rebuilt once from the published arena) lives here; the call stays
-/// out of line, like the library call it stands in for.
+/// holds only compiled arenas, so the gate's baseline (and its walk,
+/// built once from the published arena's model) lives here; the call stays
+/// out of line, like the library call it stands in for. The walk itself
+/// is reference::PieceWalk, the estimator the arena replaced.
 class PieceWalkReplica {
  public:
   PieceWalkReplica(std::string_view key,
                    const engine::EngineSnapshot& snapshot) {
     auto entry = std::make_unique<Entry>();
     entry->published.store(
-        std::make_shared<const HistogramModel>(snapshot.model()));
+        std::make_shared<const reference::PieceWalk>(snapshot.model()));
     registry_.emplace(std::string(key), std::move(entry));
   }
 
@@ -297,7 +299,7 @@ class PieceWalkReplica {
       if (it != registry_.end()) entry = it->second.get();
     }
     if (entry == nullptr) return 0.0;
-    const std::shared_ptr<const HistogramModel> published =
+    const std::shared_ptr<const reference::PieceWalk> published =
         entry->published.load(std::memory_order_acquire);
     if (published == nullptr) return 0.0;
     const std::uint64_t qn =
@@ -318,7 +320,7 @@ class PieceWalkReplica {
 
  private:
   struct Entry {
-    std::atomic<std::shared_ptr<const HistogramModel>> published;
+    std::atomic<std::shared_ptr<const reference::PieceWalk>> published;
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> fallback_queries{0};
   };

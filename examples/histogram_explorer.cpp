@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(truth.DistinctCount()),
               model.NumBuckets(), KsStatistic(truth, model));
   std::printf("value,true_count,estimated_count\n");
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   for (const ValueFreq& e : truth.NonZeroEntries()) {
     std::printf("%lld,%.0f,%.3f\n", static_cast<long long>(e.value), e.freq,
-                model.EstimatePoint(e.value));
+                compiled.EstimatePoint(e.value));
   }
   return 0;
 }

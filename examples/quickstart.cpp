@@ -39,7 +39,8 @@ int main() {
               KsStatistic(relation, histogram.Model()));
 
   // Optimizer questions against the live histogram.
-  const HistogramModel snapshot = histogram.Model();
+  const CompiledSnapshot snapshot =
+      CompiledSnapshot::Compile(histogram.Model());
   const SelectivityEstimator estimator(snapshot);
   std::printf("selectivity(A = 400)        estimate %.4f   truth %.4f\n",
               estimator.SelectivityEquals(400),
@@ -56,10 +57,10 @@ int main() {
     histogram.Delete(400, relation.Count(400));
     relation.Delete(400);
   }
+  const CompiledSnapshot after =
+      CompiledSnapshot::Compile(histogram.Model());
   std::printf("after deleting A=400:       estimate %.4f   truth %.4f\n",
-              SelectivityEstimator(histogram.Model())
-                  .SelectivityEquals(400),
-              0.0);
+              SelectivityEstimator(after).SelectivityEquals(400), 0.0);
   std::printf("KS after deletions = %.4f (%lld repartitions so far)\n",
               KsStatistic(relation, histogram.Model()),
               static_cast<long long>(histogram.RepartitionCount()));

@@ -29,8 +29,8 @@
 # object per line) into $CAPTURE at the repo root, led by a `_meta` line
 # recording the capture environment. Under GitHub Actions the capture
 # path is also written to the step's outputs as `capture`, so the
-# artifact upload names the file from here. The other committed
-# BENCH_*.json files are earlier captures of the same series.
+# artifact upload names the file from here. The capture is git-ignored;
+# no capture is committed.
 
 set -euo pipefail
 

@@ -80,8 +80,8 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
     return IngestResult::kDuplicate;
   }
   entry.slots[i].watermark = decoded.header.watermark;
-  // The validated pieces move into the slot: DecodedFrame::ToModel
-  // without its copy.
+  // The validated pieces move into the slot, one single-piece bucket
+  // each.
   entry.models[i] =
       HistogramModel::FromSimpleBuckets(std::move(decoded.pieces));
   frames_applied_.fetch_add(1);
@@ -94,7 +94,7 @@ Aggregator::IngestResult Aggregator::Ingest(std::string_view frame_bytes,
   std::uint64_t watermark = 0;
   for (const SiteSlot& s : entry.slots) watermark += s.watermark;
   const HistogramModel merged =
-      entry.merger.MergeAndReduce(entry.models, options_.merged_buckets);
+      merger_.MergeAndReduce(entry.models, options_.merged_buckets);
   merges_.fetch_add(1);
   engine_.PublishExternal(decoded.header.key, merged, watermark);
   return IngestResult::kApplied;

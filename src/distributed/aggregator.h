@@ -115,7 +115,6 @@ class Aggregator {
   struct KeyEntry {
     std::vector<SiteSlot> slots;
     std::vector<HistogramModel> models;
-    SnapshotMerger merger;
   };
 
   // Per-site telemetry, guarded by mu_.
@@ -133,6 +132,9 @@ class Aggregator {
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, KeyEntry> keys_;
+  // Every merge runs under mu_, so one merger's scratch (sweep buffers,
+  // SSBM buckets, pair heap) serves every key.
+  SnapshotMerger merger_;
   std::map<std::uint32_t, SiteStats> site_stats_;
 
   std::atomic<std::uint64_t> frames_received_{0};

@@ -70,10 +70,6 @@ const char* FrameErrorName(FrameError error) {
   return "unknown";
 }
 
-HistogramModel DecodedFrame::ToModel() const {
-  return HistogramModel::FromSimpleBuckets(pieces);
-}
-
 std::string EncodeFrame(const FrameHeader& header,
                         const HistogramModel& model) {
   return EncodeFrame(header, CompiledSnapshot::Compile(model));

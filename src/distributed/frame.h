@@ -88,15 +88,13 @@ struct FrameHeader {
 
 /// A fully validated decode: the header plus the model pieces
 /// reconstructed from the border/row arrays. Only produced when every
-/// invariant held, so ToModel() cannot trip the model's checks.
+/// invariant held, so HistogramModel::FromSimpleBuckets(pieces) cannot
+/// trip the model's checks. The bucket grouping is not shipped;
+/// superposition only reads pieces.
 struct DecodedFrame {
   FrameHeader header;
   double total = 0.0;
   std::vector<HistogramModel::Piece> pieces;
-
-  /// The pieces as a model (one single-piece bucket each — the bucket
-  /// grouping is not shipped; superposition only reads pieces).
-  HistogramModel ToModel() const;
 };
 
 inline constexpr std::size_t kFrameHeaderBytes = 40;

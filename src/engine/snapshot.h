@@ -4,16 +4,19 @@
 // prefix-CDF arrays that answer EstimateRange with two branch-free
 // lower_bound lookups), the epoch at which it was published, and the
 // update watermark it covers. The arena is the only form a published
-// snapshot holds — the implicit epoch-0 empty view included — so it is
-// the one read path; consumers that need pieces (KS scoring, tests)
-// rebuild a model from it with model(). The engine publishes snapshots
-// by atomically swapping a shared_ptr, so a reader's EngineSnapshot is a
-// stable view: it stays valid and unchanged for as long as the reader
-// holds it, no matter how many updates or newer publications happen
-// concurrently.
+// snapshot holds — the implicit epoch-0 empty view included — and the
+// library's one estimator, so every read of a snapshot is an arena read.
+// model() rebuilds the pieces as export data for consumers that need
+// them (KS scoring, the benches' layer ladders, tests); it answers no
+// queries. The engine publishes snapshots by atomically swapping a
+// shared_ptr, so a reader's EngineSnapshot is a stable view: it stays
+// valid and unchanged for as long as the reader holds it, no matter how
+// many updates or newer publications happen concurrently.
 //
 // Estimation here touches no locks and allocates nothing: queries read
 // the arena directly, with no per-call estimator object to construct.
+// Selectivity fractions and open ranges are SelectivityEstimator's job;
+// wrap compiled() in one.
 
 #ifndef DYNHIST_ENGINE_SNAPSHOT_H_
 #define DYNHIST_ENGINE_SNAPSHOT_H_
@@ -97,20 +100,7 @@ class EngineSnapshot {
     return EstimateRange(v, v);
   }
 
-  /// The above as result fractions of the relation.
-  double SelectivityRange(std::int64_t lo, std::int64_t hi) const {
-    return Fraction(EstimateRange(lo, hi));
-  }
-  double SelectivityEquals(std::int64_t v) const {
-    return Fraction(EstimateRange(v, v));
-  }
-
  private:
-  double Fraction(double cardinality) const {
-    const double total = TotalCount();
-    return total > 0.0 ? cardinality / total : 0.0;
-  }
-
   std::shared_ptr<const VersionedModel> state_;
 };
 

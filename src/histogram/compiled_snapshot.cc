@@ -88,8 +88,8 @@ CompiledSnapshot::CompiledSnapshot(
   auto* rows = reinterpret_cast<Row*>(rights + RightsSpan(n_));
 
   // Prefix masses accumulate in piece order — the same summation the
-  // model's constructor performs — so prefix and total are bit-identical
-  // to the piece-walk path's.
+  // model's constructor performs — so the total is bit-identical to
+  // HistogramModel::TotalCount().
   double acc = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
     const HistogramModel::Piece& p = pieces[i];
@@ -119,7 +119,7 @@ double CompiledSnapshot::CdfMass(double x) const {
   const Row& r = rows()[i];
   // max() clamps the before-this-piece case (x <= left, including gaps
   // between pieces) to the bare prefix without a branch; inside a piece
-  // the interpolation is the model's exact expression.
+  // the interpolation is `count * (x - left) / width`.
   const double in_piece = std::max(x - r.left, 0.0);
   return r.prefix + r.count * in_piece / r.width;
 }

@@ -1,33 +1,31 @@
-// Flat snapshot arena: the published model compiled to a prefix-CDF index.
+// Flat snapshot arena: the one evaluator of the §2.1 estimation rule.
 //
-// A HistogramModel answers CdfMass(x) by binary-searching its piece list —
-// a vector of 24-byte Piece structs walked through an iterator/lambda
-// upper_bound, with the prefix masses in a second vector. That is fine for
-// construction-time consumers (KS scoring, reduction), but it is the hot
-// path of every EstimateRange the engine serves, and snapshots are
-// immutable by design: once published, a model never changes. So the
-// publish path compiles each snapshot ONCE into this arena — a single
+// A HistogramModel is export data (pieces and buckets); it answers no
+// queries. Every estimate in dynhist — the engine's reads, the wire
+// tier's remote queries, the selectivity front end, the KS and Eq. (7)
+// metrics — compiles the model once into this arena: a single
 // cache-aligned block holding
 //
 //     rights[n]      piece right borders, ascending (the search array)
 //     rows[n + 1]    {left, count, width, prefix} per piece, 32-byte rows,
 //                    plus a sentinel row whose prefix is the total mass
 //
-// and EstimateRange(lo, hi) becomes two branch-free lower_bound lookups
-// over `rights` (run interleaved, so their dependent-load chains overlap)
-// plus an interpolated prefix subtraction: O(log pieces), no allocation,
-// no piece-struct pointer chasing, one predictable dispatch branch. The
-// layout follows the tree-like bucket-index form (arXiv cs/0501020) in
-// its flattened two-array shape, and matches the contiguous
-// border/cumulative-mass serialization of HistogramTools
+// CdfMass(x) is one branch-free upper_bound over `rights` plus an
+// interpolation inside the found row; EstimateRange(lo, hi) runs its two
+// searches interleaved, so their dependent-load chains overlap, then
+// subtracts. O(log pieces), no allocation, one predictable dispatch
+// branch. The layout follows the tree-like bucket-index form
+// (arXiv cs/0501020) in its flattened two-array shape, and matches the
+// contiguous border/cumulative-mass serialization of HistogramTools
 // (arXiv 2504.00001) — `borders()`/`rows()` expose the arrays so the
 // distributed tier can ship them as its zero-copy wire payload.
 //
-// Parity contract: every query is computed with the exact arithmetic of
-// HistogramModel::CdfMass — the same subtraction for widths, the same
+// Parity contract: the arena computes exactly what the piece walk the
+// library used before it did — the same subtraction for widths, the same
 // `count * (x - left) / width` interpolation, prefix masses accumulated
-// in the same order — so compiled and piece-walk answers are bit-identical
-// (the parity suite pins them to <= 1e-12, and in practice to equality).
+// in piece order. That walk now lives only in the tests' reference
+// library (tests/piece_walk_reference.h), and compiled_snapshot_test
+// pins the arena and the metrics built on it to it bit for bit.
 //
 // The search primitive is branch-free (cmov-style): each halving step is
 // `base += (base[half-1] <= x) * half`, so a mispredicted-branch pipeline
@@ -115,8 +113,8 @@ class CompiledSnapshot {
   /// model's TotalCount().
   double TotalCount() const { return rows()[n_].prefix; }
 
-  /// Mass strictly left of x — HistogramModel::CdfMass, one branch-free
-  /// search. Empty arenas return 0.
+  /// Mass strictly left of x, in (-inf, x): one branch-free search.
+  /// Empty arenas return 0.
   double CdfMass(double x) const;
 
   /// Mass in the real interval [lo, hi); requires lo <= hi.

@@ -1,13 +1,17 @@
-// Immutable piecewise-uniform histogram snapshot.
+// Piecewise-uniform histogram export data.
 //
-// Every histogram in dynhist — static or dynamic — can export its current
+// Every histogram in dynhist — static or dynamic — exports its current
 // state as a HistogramModel: an ordered list of non-overlapping *pieces*
-// (value intervals of uniform density) grouped into *buckets*. The model
-// embodies the two estimation assumptions of §2.1: within each piece,
-// points are spread uniformly over the value range (uniform distribution
-// assumption) and every value in the range is assumed present (continuous
-// value assumption). Metrics (KS statistic, §6.2) and the selectivity
-// estimation API evaluate against this snapshot.
+// (value intervals of uniform density) grouped into *buckets*. A model
+// is data only: pieces, buckets, total mass and the bucket accessors.
+// It is what the backends hand to the merge (Superimpose + SSBM, §8),
+// the wire encoder and the metrics; it answers no queries itself.
+//
+// The two estimation assumptions of §2.1 — points spread uniformly
+// inside each piece, every value in the range present — are evaluated
+// in one place, CompiledSnapshot (compiled_snapshot.h). Compile a model
+// once to estimate ranges or read its CDF; the metrics (KS, §6.2) and
+// the selectivity front end do exactly that.
 //
 // Conventions: integer attribute value v occupies the real interval
 // [v, v+1), so a singleton bucket for v is the piece [v, v+1). A bucket's
@@ -68,21 +72,6 @@ class HistogramModel {
   std::size_t NumPieces() const { return pieces_.size(); }
   bool Empty() const { return pieces_.empty(); }
 
-  /// Mass strictly to the left of x, i.e. in (-inf, x). O(log pieces).
-  double CdfMass(double x) const;
-
-  /// Mass in the real interval [lo, hi). Requires lo <= hi.
-  double MassInRealRange(double lo, double hi) const;
-
-  /// Estimated number of points with integer value in [lo, hi] inclusive —
-  /// the selectivity of the range predicate lo <= A <= hi.
-  double EstimateRange(std::int64_t lo, std::int64_t hi) const;
-
-  /// Estimated number of points with value exactly v.
-  double EstimatePoint(std::int64_t v) const {
-    return EstimateRange(v, v);
-  }
-
   /// Leftmost / rightmost border covered by any piece. Require !Empty().
   double MinBorder() const;
   double MaxBorder() const;
@@ -103,7 +92,6 @@ class HistogramModel {
  private:
   std::vector<Piece> pieces_;
   std::vector<BucketRef> buckets_;
-  std::vector<double> prefix_mass_;  // mass strictly left of pieces_[i].left
   double total_ = 0.0;
 };
 

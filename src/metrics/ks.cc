@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "src/common/check.h"
+#include "src/histogram/compiled_snapshot.h"
 
 namespace dynhist {
 
@@ -46,10 +46,11 @@ double KsStatistic(const FrequencyVector& truth, const HistogramModel& model) {
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());
 
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   double max_dev = 0.0;
   for (const double x : points) {
     const double f1 = TruthCdfMass(truth, x) / n1;
-    const double f2 = model.CdfMass(x) / n2;
+    const double f2 = compiled.CdfMass(x) / n2;
     max_dev = std::max(max_dev, std::fabs(f1 - f2));
   }
   return max_dev;
@@ -74,10 +75,12 @@ double KsBetweenModels(const HistogramModel& a, const HistogramModel& b) {
   std::sort(points.begin(), points.end());
   points.erase(std::unique(points.begin(), points.end()), points.end());
 
+  const CompiledSnapshot ca = CompiledSnapshot::Compile(a);
+  const CompiledSnapshot cb = CompiledSnapshot::Compile(b);
   double max_dev = 0.0;
   for (const double x : points) {
-    const double fa = a.CdfMass(x) / na;
-    const double fb = b.CdfMass(x) / nb;
+    const double fa = ca.CdfMass(x) / na;
+    const double fb = cb.CdfMass(x) / nb;
     max_dev = std::max(max_dev, std::fabs(fa - fb));
   }
   return max_dev;

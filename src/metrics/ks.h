@@ -11,7 +11,8 @@
 // F2 are both piecewise linear; their difference attains its maximum at a
 // breakpoint of either function, so the exact supremum is found by scanning
 // the union of breakpoints (all integer cell borders adjacent to data plus
-// all model piece borders).
+// all model piece borders). F2 is read from the model compiled once to
+// its CompiledSnapshot arena, the library's one estimator.
 
 #ifndef DYNHIST_METRICS_KS_H_
 #define DYNHIST_METRICS_KS_H_

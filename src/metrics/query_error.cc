@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/histogram/compiled_snapshot.h"
 
 namespace dynhist {
 
@@ -69,13 +70,14 @@ std::vector<RangeQuery> MakeOpenQueries(std::int64_t domain_size,
 double AvgRelativeErrorPercent(const FrequencyVector& truth,
                                const HistogramModel& model,
                                const std::vector<RangeQuery>& queries) {
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   double sum = 0.0;
   std::size_t counted = 0;
   for (const RangeQuery& q : queries) {
     const auto actual =
         static_cast<double>(truth.RangeCount(q.lo, q.hi));
     if (actual == 0.0) continue;  // relative error undefined
-    const double estimated = model.EstimateRange(q.lo, q.hi);
+    const double estimated = compiled.EstimateRange(q.lo, q.hi);
     sum += std::fabs(actual - estimated) / actual;
     ++counted;
   }

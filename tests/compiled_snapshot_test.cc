@@ -1,9 +1,12 @@
 // CompiledSnapshot parity and primitive tests.
 //
-// The compiled arena's contract is bit-identical answers to the model's
-// piece walk (compiled_snapshot.h, "Parity contract"); the suite pins
-// every comparison to <= 1e-12 and, where the claim is load-bearing
-// (fractional borders, gaps), to exact equality. The branch-free
+// The compiled arena is the library's one estimator. Its contract is
+// bit-identical answers to the piece walk it replaced, which lives in
+// the tests' reference library (tests/piece_walk_reference.h); every
+// parity comparison here is exact equality. The property suite extends
+// that to the metrics built on the arena (KsStatistic, KsBetweenModels,
+// AvgRelativeErrorPercent) over 10,000 seeded random models, and
+// compares bytes, not values within a tolerance. The branch-free
 // upper_bound primitives are checked directly against std::upper_bound,
 // duplicates included, on both the scalar and the runtime-dispatched
 // (possibly AVX2) entry points.
@@ -13,7 +16,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,10 +27,14 @@
 
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
+#include "src/data/frequency_vector.h"
 #include "src/distributed/frame.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/histogram/model.h"
+#include "src/metrics/ks.h"
+#include "src/metrics/query_error.h"
+#include "tests/piece_walk_reference.h"
 
 namespace dynhist {
 namespace {
@@ -32,6 +42,7 @@ namespace {
 using compiled_internal::UpperBound;
 using compiled_internal::UpperBound2;
 using compiled_internal::UpperBoundScalar;
+using reference::PieceWalk;
 
 std::size_t StdUpperBound(const std::vector<double>& a, double x) {
   return static_cast<std::size_t>(
@@ -77,22 +88,25 @@ TEST(UpperBoundPrimitive, MatchesStdOnRandomArraysWithDuplicates) {
   }
 }
 
-// Exhaustive parity of one model vs its compiled form over integer probes
-// covering the support and a margin past both ends. Exact equality: the
-// arena replays the model's arithmetic operation for operation.
+// Exhaustive parity of one model's compiled form vs the reference piece
+// walk over integer probes covering the support and a margin past both
+// ends. Exact equality: the arena replays the walk's arithmetic
+// operation for operation.
 void ExpectExactParity(const HistogramModel& model, std::int64_t lo_probe,
                        std::int64_t hi_probe) {
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  const PieceWalk walk(model);
   EXPECT_EQ(compiled.TotalCount(), model.TotalCount());
+  EXPECT_EQ(compiled.TotalCount(), walk.TotalCount());
   EXPECT_EQ(compiled.NumPieces(), model.pieces().size());
   for (std::int64_t v = lo_probe; v <= hi_probe; ++v) {
     const double x = static_cast<double>(v) + 0.25;  // interior of cells
     EXPECT_EQ(compiled.CdfMass(static_cast<double>(v)),
-              model.CdfMass(static_cast<double>(v)))
+              walk.CdfMass(static_cast<double>(v)))
         << "CdfMass at " << v;
-    EXPECT_EQ(compiled.CdfMass(x), model.CdfMass(x))
+    EXPECT_EQ(compiled.CdfMass(x), walk.CdfMass(x))
         << "CdfMass at " << x;
-    EXPECT_EQ(compiled.EstimatePoint(v), model.EstimatePoint(v))
+    EXPECT_EQ(compiled.EstimatePoint(v), walk.EstimatePoint(v))
         << "point " << v;
   }
   Rng rng(42);
@@ -101,9 +115,8 @@ void ExpectExactParity(const HistogramModel& model, std::int64_t lo_probe,
     const std::int64_t b = rng.UniformInt(lo_probe, hi_probe);
     const std::int64_t lo = std::min(a, b), hi = std::max(a, b);
     const double got = compiled.EstimateRange(lo, hi);
-    const double want = model.EstimateRange(lo, hi);
+    const double want = walk.EstimateRange(lo, hi);
     EXPECT_EQ(got, want) << "range [" << lo << ", " << hi << "]";
-    EXPECT_NEAR(got, want, 1e-12);  // the ISSUE-level contract, redundantly
   }
 }
 
@@ -159,17 +172,18 @@ TEST(CompiledSnapshotParity, AdversarialFractionalBordersAndGaps) {
   const HistogramModel model =
       HistogramModel::FromSimpleBuckets(std::move(pieces));
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  const PieceWalk walk(model);
   Rng rng(99);
   for (int q = 0; q < 5000; ++q) {
     const double x = rng.UniformDouble(-2.0, 1004.0);
-    EXPECT_EQ(compiled.CdfMass(x), model.CdfMass(x)) << "x=" << x;
+    EXPECT_EQ(compiled.CdfMass(x), walk.CdfMass(x)) << "x=" << x;
   }
   // Probes inside the gap and exactly on every border.
   for (const auto& p : model.pieces()) {
-    EXPECT_EQ(compiled.CdfMass(p.left), model.CdfMass(p.left));
-    EXPECT_EQ(compiled.CdfMass(p.right), model.CdfMass(p.right));
+    EXPECT_EQ(compiled.CdfMass(p.left), walk.CdfMass(p.left));
+    EXPECT_EQ(compiled.CdfMass(p.right), walk.CdfMass(p.right));
   }
-  EXPECT_EQ(compiled.CdfMass(1.0), model.CdfMass(1.0));  // inside the gap
+  EXPECT_EQ(compiled.CdfMass(1.0), walk.CdfMass(1.0));  // inside the gap
   EXPECT_EQ(compiled.TotalCount(), model.TotalCount());
 }
 
@@ -180,8 +194,9 @@ TEST(CompiledSnapshot, ZeroMassCoveredRangesAnswerZero) {
   EXPECT_EQ(compiled.EstimateRange(0, 8), 0.0);
   EXPECT_EQ(compiled.EstimateRange(21, 29), 0.0);
   EXPECT_EQ(compiled.EstimateRange(0, 29), 5.0);
-  EXPECT_EQ(compiled.EstimateRange(0, 29), model.EstimateRange(0, 29));
-  EXPECT_EQ(compiled.CdfMass(25.0), model.CdfMass(25.0));
+  const PieceWalk walk(model);
+  EXPECT_EQ(compiled.EstimateRange(0, 29), walk.EstimateRange(0, 29));
+  EXPECT_EQ(compiled.CdfMass(25.0), walk.CdfMass(25.0));
 }
 
 TEST(CompiledSnapshot, EmptyModelCompilesAndAnswersZero) {
@@ -241,10 +256,11 @@ TEST(CompiledSnapshot, OutOfSupportAndInvertedRanges) {
   const HistogramModel model =
       HistogramModel::FromSimpleBuckets({{100.0, 200.0, 50.0}});
   const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
-  EXPECT_EQ(compiled.EstimateRange(0, 99), model.EstimateRange(0, 99));
+  const PieceWalk walk(model);
+  EXPECT_EQ(compiled.EstimateRange(0, 99), walk.EstimateRange(0, 99));
   EXPECT_EQ(compiled.EstimateRange(0, 99), 0.0);
   EXPECT_EQ(compiled.EstimateRange(200, 500),
-            model.EstimateRange(200, 500));
+            walk.EstimateRange(200, 500));
   EXPECT_EQ(compiled.EstimateRange(-50, 400), 50.0);
   EXPECT_EQ(compiled.EstimateRange(10, 5), 0.0);  // hi < lo
   // Far past the sentinel: a total-mass read.
@@ -311,6 +327,140 @@ TEST(CompiledSnapshot, SimdDispatchReportsAndAgrees) {
     EXPECT_EQ(UpperBound(a.data(), a.size(), x),
               UpperBoundScalar(a.data(), a.size(), x));
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Parity property: the arena, and every metric evaluated on it, against
+// the reference piece walk, bit for bit.
+
+// A random model with the shapes that stress the estimation rule: gaps,
+// zero-count pieces, width-1 pieces on integer borders, fractional
+// borders and widths, and (rarely) no pieces at all.
+HistogramModel RandomModel(Rng& rng) {
+  const auto n = static_cast<std::size_t>(rng.UniformInt(0, 24));
+  std::vector<HistogramModel::Piece> pieces;
+  double at = static_cast<double>(rng.UniformInt(-40, 200));
+  if (rng.Bernoulli(0.5)) at += rng.UniformDouble(0.0, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.25)) {
+      at += rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(1, 30))
+                               : rng.UniformDouble(0.001, 30.0);
+    }
+    double width;
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        width = 1.0;
+        break;
+      case 1:
+        width = static_cast<double>(rng.UniformInt(2, 40));
+        break;
+      default:
+        width = rng.UniformDouble(1e-3, 40.0);
+        break;
+    }
+    double count = 0.0;
+    if (!rng.Bernoulli(0.2)) {
+      count = rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(1, 500))
+                                 : rng.UniformDouble(0.0, 500.0);
+    }
+    pieces.push_back({at, at + width, count});
+    at += width;
+  }
+  return HistogramModel::FromSimpleBuckets(std::move(pieces));
+}
+
+FrequencyVector RandomTruth(Rng& rng, std::int64_t domain) {
+  FrequencyVector truth(domain);
+  const std::int64_t points = rng.UniformInt(0, 300);
+  for (std::int64_t i = 0; i < points; ++i) {
+    truth.Insert(rng.UniformInt(0, domain - 1));
+  }
+  return truth;
+}
+
+// Counts answer pairs that differ in any bit, and keeps the first.
+class BitwiseTally {
+ public:
+  void Check(const char* what, double got, double want, double arg) {
+    ++compared_;
+    if (std::memcmp(&got, &want, sizeof(double)) == 0) return;
+    if (mismatches_++ == 0) {
+      std::ostringstream out;
+      out.precision(17);
+      out << what << "(" << arg << "): arena " << got << ", walk " << want;
+      first_ = out.str();
+    }
+  }
+  std::size_t compared() const { return compared_; }
+  std::size_t mismatches() const { return mismatches_; }
+  const std::string& first() const { return first_; }
+
+ private:
+  std::size_t compared_ = 0;
+  std::size_t mismatches_ = 0;
+  std::string first_;
+};
+
+TEST(CompiledSnapshotParity, RandomModelsMatchPieceWalkBitwise) {
+  constexpr int kModels = 10'000;
+  constexpr std::int64_t kDomain = 256;
+  Rng rng(20'001);
+  BitwiseTally tally;
+  HistogramModel previous;
+  for (int m = 0; m < kModels; ++m) {
+    const HistogramModel model = RandomModel(rng);
+    const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+    const PieceWalk walk(model);
+    tally.Check("TotalCount", compiled.TotalCount(), walk.TotalCount(), m);
+
+    // CdfMass on every border, just either side of it, and at random and
+    // integer points inside and around the support.
+    std::vector<double> probes;
+    for (const HistogramModel::Piece& p : model.pieces()) {
+      for (const double b : {p.left, p.right}) {
+        probes.push_back(b);
+        probes.push_back(std::nextafter(b, -1e300));
+        probes.push_back(std::nextafter(b, 1e300));
+      }
+      probes.push_back(0.5 * (p.left + p.right));
+    }
+    const double lo = model.Empty() ? -10.0 : model.MinBorder() - 5.0;
+    const double hi = model.Empty() ? 10.0 : model.MaxBorder() + 5.0;
+    for (int q = 0; q < 8; ++q) {
+      probes.push_back(rng.UniformDouble(lo, hi));
+      probes.push_back(std::floor(rng.UniformDouble(lo, hi)));
+    }
+    for (const double x : probes) {
+      tally.Check("CdfMass", compiled.CdfMass(x), walk.CdfMass(x), x);
+    }
+
+    // EstimateRange over integer ranges, inverted ones included.
+    const auto ilo = static_cast<std::int64_t>(std::floor(lo));
+    const auto ihi = static_cast<std::int64_t>(std::ceil(hi));
+    for (int q = 0; q < 16; ++q) {
+      const std::int64_t a = rng.UniformInt(ilo, ihi);
+      const std::int64_t b = rng.UniformInt(ilo, ihi);
+      tally.Check("EstimateRange", compiled.EstimateRange(a, b),
+                  walk.EstimateRange(a, b), static_cast<double>(a));
+    }
+
+    // The metrics built on the arena against their walk versions.
+    const FrequencyVector truth = RandomTruth(rng, kDomain);
+    tally.Check("KsStatistic", KsStatistic(truth, model),
+                reference::WalkKsStatistic(truth, model), m);
+    tally.Check("KsBetweenModels", KsBetweenModels(model, previous),
+                reference::WalkKsBetweenModels(model, previous), m);
+    const std::vector<RangeQuery> queries =
+        MakeUniformQueries(kDomain, 12, rng);
+    tally.Check("AvgRelativeErrorPercent",
+                AvgRelativeErrorPercent(truth, model, queries),
+                reference::WalkAvgRelativeErrorPercent(truth, model, queries),
+                m);
+    previous = model;
+  }
+  EXPECT_GT(tally.compared(), static_cast<std::size_t>(kModels) * 20);
+  EXPECT_EQ(tally.mismatches(), 0u) << "first: " << tally.first();
 }
 
 }  // namespace

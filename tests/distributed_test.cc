@@ -11,6 +11,7 @@
 #include "src/distributed/site_shipper.h"
 #include "src/engine/histogram_engine.h"
 #include "src/histogram/budget.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/ssbm.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"
@@ -57,7 +58,7 @@ TEST(UnionWorkloadTest, DeterministicInSeed) {
 TEST(SuperimposeTest, TwoDisjointModels) {
   const auto a = HistogramModel::FromSimpleBuckets({{0, 10, 5.0}});
   const auto b = HistogramModel::FromSimpleBuckets({{20, 30, 7.0}});
-  const auto u = Superimpose({a, b});
+  const auto u = CompiledSnapshot::Compile(Superimpose({a, b}));
   EXPECT_DOUBLE_EQ(u.TotalCount(), 12.0);
   EXPECT_DOUBLE_EQ(u.MassInRealRange(0, 10), 5.0);
   EXPECT_DOUBLE_EQ(u.MassInRealRange(10, 20), 0.0);
@@ -67,7 +68,7 @@ TEST(SuperimposeTest, TwoDisjointModels) {
 TEST(SuperimposeTest, OverlappingModelsAddDensities) {
   const auto a = HistogramModel::FromSimpleBuckets({{0, 10, 10.0}});
   const auto b = HistogramModel::FromSimpleBuckets({{5, 15, 10.0}});
-  const auto u = Superimpose({a, b});
+  const auto u = CompiledSnapshot::Compile(Superimpose({a, b}));
   EXPECT_DOUBLE_EQ(u.TotalCount(), 20.0);
   EXPECT_DOUBLE_EQ(u.MassInRealRange(0, 5), 5.0);
   EXPECT_DOUBLE_EQ(u.MassInRealRange(5, 10), 10.0);  // both contribute
@@ -80,10 +81,14 @@ TEST(SuperimposeTest, IsLossless) {
   const auto sites = GenerateUnionWorkload(SmallWorkload());
   std::vector<HistogramModel> locals;
   for (const Site& s : sites) locals.push_back(s.BuildLocalHistogram(250.0));
-  const auto u = Superimpose(locals);
+  const auto u = CompiledSnapshot::Compile(Superimpose(locals));
+  std::vector<CompiledSnapshot> compiled_locals;
+  for (const auto& m : locals) {
+    compiled_locals.push_back(CompiledSnapshot::Compile(m));
+  }
   for (double x = 0.0; x <= 1'001.0; x += 13.7) {
     double sum = 0.0;
-    for (const auto& m : locals) sum += m.CdfMass(x);
+    for (const auto& m : compiled_locals) sum += m.CdfMass(x);
     EXPECT_NEAR(u.CdfMass(x), sum, 1e-6);
   }
 }

@@ -5,6 +5,7 @@
 #include "src/data/cluster_generator.h"
 #include "src/data/mailorder_generator.h"
 #include "src/data/update_stream.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/driver.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"
@@ -101,7 +102,7 @@ TEST(DynamicCompressedTest, HeavyValuePromotedToSingular) {
     h.Insert(rng.Bernoulli(0.5) ? 37 : rng.UniformInt(0, 70));
   }
   EXPECT_GT(h.SingularCount(), 0);
-  const auto model = h.Model();
+  const auto model = CompiledSnapshot::Compile(h.Model());
   // The singular bucket at 37 answers the point query almost exactly.
   EXPECT_NEAR(model.EstimatePoint(37) / h.TotalCount(), 0.5, 0.05);
 }

@@ -4,6 +4,7 @@
 
 #include "src/data/cluster_generator.h"
 #include "src/data/update_stream.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/driver.h"
 #include "src/metrics/ks.h"
 #include "tests/test_util.h"
@@ -132,7 +133,7 @@ TEST(DynamicVOptTest, CapturesSpikeWithNarrowBucket) {
   for (int i = 0; i < 8'000; ++i) {
     truth.Insert(rng2.Bernoulli(0.5) ? 250 : rng2.UniformInt(0, 499));
   }
-  const double est = h.Model().EstimatePoint(250);
+  const double est = CompiledSnapshot::Compile(h.Model()).EstimatePoint(250);
   EXPECT_NEAR(est / h.TotalCount(), 0.5, 0.1);
 }
 

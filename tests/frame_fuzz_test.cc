@@ -216,7 +216,9 @@ TEST(FrameFuzzTest, TenThousandMutantsAllRejectOrRoundTrip) {
       // corruption, and the original must still decode and round-trip.
       ++identity;
       ASSERT_EQ(error, FrameError::kOk) << MutationName(mutation);
-      ASSERT_EQ(EncodeFrame(decoded.header, decoded.ToModel()), mutant);
+      ASSERT_EQ(EncodeFrame(decoded.header,
+                            HistogramModel::FromSimpleBuckets(decoded.pieces)),
+                mutant);
       continue;
     }
     ++corrupting;
@@ -254,7 +256,8 @@ TEST(FrameFuzzTest, SeedCorpusRoundTripsBitForBit) {
     DecodedFrame decoded;
     ASSERT_EQ(DecodeFrame(frame, &decoded), FrameError::kOk);
     FrameHeader header = decoded.header;
-    const std::string reencoded = EncodeFrame(header, decoded.ToModel());
+    const std::string reencoded = EncodeFrame(
+        header, HistogramModel::FromSimpleBuckets(decoded.pieces));
     EXPECT_EQ(reencoded, frame);
     DecodedFrame again;
     ASSERT_EQ(DecodeFrame(reencoded, &again), FrameError::kOk);

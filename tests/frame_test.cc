@@ -92,11 +92,14 @@ TEST(FrameCodecTest, RoundTripsModelBitForBit) {
     EXPECT_EQ(decoded.pieces[i], model.pieces()[i]) << "piece " << i;
   }
   // Exact == on the doubles: the codec must be bit-transparent.
-  const HistogramModel rebuilt = decoded.ToModel();
+  const HistogramModel rebuilt =
+      HistogramModel::FromSimpleBuckets(decoded.pieces);
   EXPECT_EQ(rebuilt.TotalCount(), model.TotalCount());
+  const CompiledSnapshot rebuilt_arena = CompiledSnapshot::Compile(rebuilt);
+  const CompiledSnapshot model_arena = CompiledSnapshot::Compile(model);
   for (std::int64_t lo = 0; lo < 2000; lo += 97) {
-    EXPECT_EQ(rebuilt.EstimateRange(lo, lo + 150),
-              model.EstimateRange(lo, lo + 150));
+    EXPECT_EQ(rebuilt_arena.EstimateRange(lo, lo + 150),
+              model_arena.EstimateRange(lo, lo + 150));
   }
   // Re-encoding the decoded frame reproduces the wire bytes.
   EXPECT_EQ(EncodeFrame(decoded.header, rebuilt), frame);
@@ -126,7 +129,8 @@ TEST(FrameCodecTest, RoundTripsLiveDadoSnapshot) {
   DecodedFrame decoded;
   ASSERT_EQ(DecodeFrame(EncodeFrame(TestHeader(), model), &decoded),
             FrameError::kOk);
-  const HistogramModel reloaded = decoded.ToModel();
+  const HistogramModel reloaded =
+      HistogramModel::FromSimpleBuckets(decoded.pieces);
   ASSERT_EQ(reloaded.NumPieces(), model.NumPieces());
   for (std::size_t i = 0; i < model.NumPieces(); ++i) {
     EXPECT_EQ(reloaded.pieces()[i], model.pieces()[i]) << "piece " << i;
@@ -140,7 +144,7 @@ TEST(FrameCodecTest, EmptyModelRoundTrips) {
   ASSERT_EQ(DecodeFrame(frame, &decoded), FrameError::kOk);
   EXPECT_TRUE(decoded.pieces.empty());
   EXPECT_EQ(decoded.total, 0.0);
-  EXPECT_TRUE(decoded.ToModel().Empty());
+  EXPECT_TRUE(HistogramModel::FromSimpleBuckets(decoded.pieces).Empty());
   // A default-constructed CompiledSnapshot is the empty arena, so it
   // encodes as the same empty frame.
   EXPECT_EQ(EncodeFrame(TestHeader(), CompiledSnapshot()), frame);

@@ -143,7 +143,7 @@ TEST(IntegrationTest, SelectivityEstimatesTrackTruth) {
       {.buckets = 85, .policy = DeviationPolicy::kAbsolute});
   FrequencyVector truth(kDomain);
   Replay(stream, &dado, &truth);
-  const auto model = dado.Model();
+  const auto model = CompiledSnapshot::Compile(dado.Model());
   const SelectivityEstimator est(model);
   Rng qrng(15);
   const auto queries = MakeUniformQueries(kDomain, 200, qrng);

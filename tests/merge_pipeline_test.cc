@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/distributed/global_histogram.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/dynamic_vopt.h"
 #include "src/histogram/histogram.h"
@@ -102,11 +103,13 @@ void ExpectSuperimposeParity(const std::vector<HistogramModel>& models) {
               1e-9 * (1.0 + legacy.TotalCount()));
   EXPECT_LT(KsBetweenModels(sweep, legacy), 1e-9);
   // Spot-probe the CDF at and between every legacy border.
+  const CompiledSnapshot sweep_cdf = CompiledSnapshot::Compile(sweep);
+  const CompiledSnapshot legacy_cdf = CompiledSnapshot::Compile(legacy);
   for (const Piece& p : legacy.pieces()) {
-    EXPECT_NEAR(sweep.CdfMass(p.left), legacy.CdfMass(p.left),
+    EXPECT_NEAR(sweep_cdf.CdfMass(p.left), legacy_cdf.CdfMass(p.left),
                 1e-9 * (1.0 + legacy.TotalCount()));
     const double mid = 0.5 * (p.left + p.right);
-    EXPECT_NEAR(sweep.CdfMass(mid), legacy.CdfMass(mid),
+    EXPECT_NEAR(sweep_cdf.CdfMass(mid), legacy_cdf.CdfMass(mid),
                 1e-9 * (1.0 + legacy.TotalCount()));
   }
 }
@@ -137,12 +140,15 @@ TEST(PieceSweepSuperimposeTest, AdversarialBorderOverlaps) {
   ExpectSuperimposeParity(models);
 
   const HistogramModel sweep = Superimpose(models);
+  const CompiledSnapshot sweep_cdf = CompiledSnapshot::Compile(sweep);
   // Sum-of-CDFs losslessness at adversarial probe points.
   for (const double x : {0.0, 5.0, 7.25, 7.5, 7.75, 10.0, 12.5, 15.0, 20.0,
                          29.999, 30.0, 35.0, 40.0, 45.0, 50.0}) {
     double want = 0.0;
-    for (const HistogramModel& m : models) want += m.CdfMass(x);
-    EXPECT_NEAR(sweep.CdfMass(x), want, 1e-9) << "x=" << x;
+    for (const HistogramModel& m : models) {
+      want += CompiledSnapshot::Compile(m).CdfMass(x);
+    }
+    EXPECT_NEAR(sweep_cdf.CdfMass(x), want, 1e-9) << "x=" << x;
   }
   // The [30, 40) region is covered by no input: it must stay a gap.
   bool has_gap_piece = false;

@@ -6,6 +6,7 @@
 
 #include "src/data/frequency_vector.h"
 #include "src/histogram/ssbm.h"
+#include "tests/piece_walk_reference.h"
 
 namespace dynhist::reference {
 
@@ -22,14 +23,17 @@ HistogramModel SuperimposeLegacy(const std::vector<HistogramModel>& models) {
   borders.erase(std::unique(borders.begin(), borders.end()), borders.end());
   if (borders.size() < 2) return HistogramModel();
 
+  std::vector<PieceWalk> walks;
+  walks.reserve(models.size());
+  for (const HistogramModel& m : models) walks.emplace_back(m);
   std::vector<HistogramModel::Piece> pieces;
   pieces.reserve(borders.size() - 1);
   for (std::size_t i = 0; i + 1 < borders.size(); ++i) {
     const double lo = borders[i];
     const double hi = borders[i + 1];
     double mass = 0.0;
-    for (const HistogramModel& m : models) {
-      mass += m.MassInRealRange(lo, hi);
+    for (const PieceWalk& w : walks) {
+      mass += w.MassInRealRange(lo, hi);
     }
     if (mass > 0.0) pieces.push_back({lo, hi, mass});
   }
@@ -41,9 +45,10 @@ HistogramModel ReduceCellsWithSsbm(const HistogramModel& model,
   if (model.Empty()) return HistogramModel();
   const auto first = static_cast<std::int64_t>(std::floor(model.MinBorder()));
   const auto last = static_cast<std::int64_t>(std::ceil(model.MaxBorder()));
+  const PieceWalk walk(model);
   std::vector<ValueFreq> entries;
   for (std::int64_t v = first; v < last; ++v) {
-    const double mass = model.MassInRealRange(static_cast<double>(v),
+    const double mass = walk.MassInRealRange(static_cast<double>(v),
                                               static_cast<double>(v) + 1.0);
     if (mass > 1e-12) entries.push_back({v, mass});
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/histogram/compiled_snapshot.h"
+
 namespace dynhist {
 namespace {
 
@@ -9,10 +11,11 @@ using Piece = HistogramModel::Piece;
 
 TEST(ModelTest, EmptyModel) {
   HistogramModel model;
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   EXPECT_TRUE(model.Empty());
   EXPECT_DOUBLE_EQ(model.TotalCount(), 0.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(123.0), 0.0);
-  EXPECT_DOUBLE_EQ(model.EstimateRange(0, 100), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(123.0), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimateRange(0, 100), 0.0);
 }
 
 TEST(ModelTest, TotalCountSumsPieces) {
@@ -25,40 +28,44 @@ TEST(ModelTest, TotalCountSumsPieces) {
 TEST(ModelTest, CdfMassInterpolatesLinearly) {
   const auto model =
       HistogramModel::FromSimpleBuckets({{0, 10, 10.0}, {10, 20, 30.0}});
-  EXPECT_DOUBLE_EQ(model.CdfMass(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(15.0), 25.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(20.0), 40.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(99.0), 40.0);
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(-1.0), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(5.0), 5.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(10.0), 10.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(15.0), 25.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(20.0), 40.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(99.0), 40.0);
 }
 
 TEST(ModelTest, CdfHandlesGapsBetweenBuckets) {
   // Zero-density gap (10, 20): flat CDF.
   const auto model =
       HistogramModel::FromSimpleBuckets({{0, 10, 10.0}, {20, 30, 10.0}});
-  EXPECT_DOUBLE_EQ(model.CdfMass(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(15.0), 10.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(20.0), 10.0);
-  EXPECT_DOUBLE_EQ(model.CdfMass(25.0), 15.0);
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(10.0), 10.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(15.0), 10.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(20.0), 10.0);
+  EXPECT_DOUBLE_EQ(compiled.CdfMass(25.0), 15.0);
 }
 
 TEST(ModelTest, EstimateRangeUsesCellConvention) {
   // Value v occupies [v, v+1): a single-cell bucket answers point queries
   // exactly.
   const auto model = HistogramModel::FromSimpleBuckets({{5, 6, 7.0}});
-  EXPECT_DOUBLE_EQ(model.EstimatePoint(5), 7.0);
-  EXPECT_DOUBLE_EQ(model.EstimatePoint(4), 0.0);
-  EXPECT_DOUBLE_EQ(model.EstimatePoint(6), 0.0);
-  EXPECT_DOUBLE_EQ(model.EstimateRange(0, 10), 7.0);
-  EXPECT_DOUBLE_EQ(model.EstimateRange(6, 4), 0.0);  // empty range
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  EXPECT_DOUBLE_EQ(compiled.EstimatePoint(5), 7.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimatePoint(4), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimatePoint(6), 0.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimateRange(0, 10), 7.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimateRange(6, 4), 0.0);  // empty range
 }
 
 TEST(ModelTest, EstimateRangePartialOverlap) {
   const auto model = HistogramModel::FromSimpleBuckets({{0, 10, 10.0}});
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   // [2, 4] covers cells [2,5): 3 of 10 cells -> 3 points.
-  EXPECT_DOUBLE_EQ(model.EstimateRange(2, 4), 3.0);
+  EXPECT_DOUBLE_EQ(compiled.EstimateRange(2, 4), 3.0);
 }
 
 TEST(ModelTest, MultiPieceBuckets) {

@@ -165,7 +165,7 @@ TEST_P(HistogramPropertyTest, EstimatesNeverNegative) {
   auto h = MakeHistogram(algo, seed);
   FrequencyVector truth(kDomain);
   Replay(MakeStream(shape, seed), h.get(), &truth);
-  const auto model = h->Model();
+  const auto model = CompiledSnapshot::Compile(h->Model());
   Rng rng(seed + 99);
   for (const auto& q : MakeUniformQueries(kDomain, 100, rng)) {
     EXPECT_GE(model.EstimateRange(q.lo, q.hi), -1e-9);

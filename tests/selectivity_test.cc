@@ -15,8 +15,8 @@ namespace {
 
 TEST(SelectivityTest, CardinalitiesOnExactModel) {
   // 4 points at 10, 6 at 20.
-  const auto model =
-      HistogramModel::FromSimpleBuckets({{10, 11, 4.0}, {20, 21, 6.0}});
+  const auto model = CompiledSnapshot::Compile(
+      HistogramModel::FromSimpleBuckets({{10, 11, 4.0}, {20, 21, 6.0}}));
   const SelectivityEstimator est(model);
   EXPECT_DOUBLE_EQ(est.CardinalityEquals(10), 4.0);
   EXPECT_DOUBLE_EQ(est.CardinalityEquals(15), 0.0);
@@ -28,8 +28,8 @@ TEST(SelectivityTest, CardinalitiesOnExactModel) {
 }
 
 TEST(SelectivityTest, SelectivitiesAreFractions) {
-  const auto model =
-      HistogramModel::FromSimpleBuckets({{0, 10, 30.0}, {10, 20, 10.0}});
+  const auto model = CompiledSnapshot::Compile(
+      HistogramModel::FromSimpleBuckets({{0, 10, 30.0}, {10, 20, 10.0}}));
   const SelectivityEstimator est(model);
   EXPECT_DOUBLE_EQ(est.SelectivityRange(0, 19), 1.0);
   EXPECT_DOUBLE_EQ(est.SelectivityAtMost(9), 0.75);
@@ -38,7 +38,7 @@ TEST(SelectivityTest, SelectivitiesAreFractions) {
 }
 
 TEST(SelectivityTest, EmptyModelGivesZeroSelectivity) {
-  const HistogramModel model;
+  const CompiledSnapshot model;  // the empty arena
   const SelectivityEstimator est(model);
   EXPECT_DOUBLE_EQ(est.SelectivityRange(0, 100), 0.0);
   EXPECT_DOUBLE_EQ(est.CardinalityEquals(5), 0.0);
@@ -48,7 +48,7 @@ TEST(SelectivityTest, OpenAndClosedRangesAgree) {
   Rng rng(1);
   FrequencyVector data(200);
   for (int i = 0; i < 2'000; ++i) data.Insert(rng.UniformInt(0, 199));
-  const auto model = BuildEquiDepth(data, 16);
+  const auto model = CompiledSnapshot::Compile(BuildEquiDepth(data, 16));
   const SelectivityEstimator est(model);
   // A <= h equals 0 <= A <= h when the domain is non-negative.
   for (const std::int64_t h : {0, 50, 123, 199}) {
@@ -69,7 +69,8 @@ TEST(SelectivityTest, KsBoundsRangeSelectivityError) {
                                    : rng.UniformInt(0, 499));
   }
   const auto model = BuildEquiDepth(data, 10);
-  const SelectivityEstimator est(model);
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
+  const SelectivityEstimator est(compiled);
   // Max open-range selectivity error over integer endpoints...
   double max_open_error = 0.0;
   for (std::int64_t h = 0; h < 500; ++h) {

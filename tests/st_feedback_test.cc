@@ -12,6 +12,7 @@
 #include "src/data/frequency_vector.h"
 #include "src/engine/engine_options.h"
 #include "src/engine/histogram_engine.h"
+#include "src/histogram/compiled_snapshot.h"
 #include "src/histogram/dynamic_compressed.h"
 #include "src/histogram/model.h"
 #include "tests/test_util.h"
@@ -57,7 +58,8 @@ TEST(StFeedbackTest, DampedSingleRangeConvergence) {
   EXPECT_DOUBLE_EQ(h.ApplyFeedback(10, 19, 100.0), 50.0);
   EXPECT_DOUBLE_EQ(h.ApplyFeedback(10, 19, 100.0), 25.0);
   for (int i = 0; i < 40; ++i) h.ApplyFeedback(10, 19, 100.0);
-  EXPECT_NEAR(h.Model().EstimateRange(10, 19), 100.0, 1e-6);
+  EXPECT_NEAR(CompiledSnapshot::Compile(h.Model()).EstimateRange(10, 19),
+              100.0, 1e-6);
 }
 
 TEST(StFeedbackTest, OverestimateIsDampedDownward) {
@@ -66,9 +68,11 @@ TEST(StFeedbackTest, OverestimateIsDampedDownward) {
   // Bucket [10,20) claims 200 but the range actually holds 40: the error
   // folds in damped, proportionally to the bucket's contribution.
   EXPECT_DOUBLE_EQ(h.ApplyFeedback(10, 19, 40.0), 160.0);
-  EXPECT_DOUBLE_EQ(h.Model().EstimateRange(10, 19), 120.0);
+  EXPECT_DOUBLE_EQ(CompiledSnapshot::Compile(h.Model()).EstimateRange(10, 19),
+                   120.0);
   for (int i = 0; i < 40; ++i) h.ApplyFeedback(10, 19, 40.0);
-  EXPECT_NEAR(h.Model().EstimateRange(10, 19), 40.0, 1e-6);
+  EXPECT_NEAR(CompiledSnapshot::Compile(h.Model()).EstimateRange(10, 19),
+              40.0, 1e-6);
 }
 
 TEST(StFeedbackTest, SplitTriggersAboveThresholdOnly) {
@@ -226,7 +230,8 @@ TEST(StFeedbackTest, DomainGrowsToCoverOutOfRangeTraffic) {
   const HistogramModel model = h.Model();
   EXPECT_LE(model.pieces().front().left, -10.0);
   EXPECT_GE(model.pieces().back().right, 100.0);
-  EXPECT_NEAR(model.EstimateRange(50, 99), 70.0, 1e-3);
+  EXPECT_NEAR(CompiledSnapshot::Compile(model).EstimateRange(50, 99), 70.0,
+              1e-3);
   // Deletes outside coverage are ignored, not crashes.
   h.Delete(10'000, 1);
   EXPECT_TRUE(testing::ModelIsValid(h.Model()));
@@ -353,9 +358,10 @@ std::vector<RangeTruth> SkewedQueries(const FrequencyVector& truth,
 
 double MeanAbsError(const HistogramModel& model,
                     const std::vector<RangeTruth>& queries) {
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(model);
   double sum = 0.0;
   for (const RangeTruth& q : queries) {
-    sum += std::fabs(model.EstimateRange(q.lo, q.hi) - q.actual);
+    sum += std::fabs(compiled.EstimateRange(q.lo, q.hi) - q.actual);
   }
   return sum / static_cast<double>(queries.size());
 }

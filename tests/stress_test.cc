@@ -78,7 +78,8 @@ TEST_P(StressTest, SingleValueHammer) {
   }
   CheckState(*h, truth);
   // Whatever the bucket structure, the point estimate must see the mass.
-  EXPECT_GT(h->Model().EstimateRange(240, 260), 9'000.0);
+  EXPECT_GT(CompiledSnapshot::Compile(h->Model()).EstimateRange(240, 260),
+            9'000.0);
 }
 
 TEST_P(StressTest, InsertDeleteOscillation) {
@@ -127,7 +128,7 @@ TEST_P(StressTest, DrainAndRefill) {
   }
   CheckState(*h, truth);
   // The refilled region should hold essentially all estimated mass.
-  const auto model = h->Model();
+  const auto model = CompiledSnapshot::Compile(h->Model());
   if (model.TotalCount() > 0) {
     EXPECT_GT(model.EstimateRange(250, 500) / model.TotalCount(), 0.5)
         << AlgoName(GetParam());
@@ -157,7 +158,7 @@ TEST_P(StressTest, DomainEdgeTraffic) {
     truth.Insert(kDomain - 1);
   }
   CheckState(*h, truth);
-  const auto model = h->Model();
+  const auto model = CompiledSnapshot::Compile(h->Model());
   EXPECT_GT(model.EstimateRange(0, 10), 100.0);
   EXPECT_GT(model.EstimateRange(kDomain - 11, kDomain - 1), 100.0);
 }
