@@ -22,8 +22,9 @@
 // indexed heap is O(log n) per slice, so the per-slice cost grows slowly
 // with n by design.
 //
-// Phase 3 — ingest throughput with batch coalescing on vs off, single
-// writer, Zipf(1) stream (duplicate-heavy), swept over batch sizes.
+// Phase 3 — ingest throughput of coalesced batches, single writer, Zipf(1)
+// stream (duplicate-heavy), swept over batch sizes, against the op-by-op
+// replay (batch_size 1: every update applied alone). Report only, no gate.
 //
 // Flags: the shared bench flags (--quick, --points=N, --json).
 
@@ -119,13 +120,11 @@ double RelativeDiff(double a, double b) {
 }
 
 // Single-writer ingest throughput at one batch size.
-double MeasureIngest(const std::vector<std::int64_t>& values, int batch_size,
-                     bool coalesce) {
+double MeasureIngest(const std::vector<std::int64_t>& values, int batch_size) {
   EngineOptions options;
   options.shards = kShards;
   options.batch_size = batch_size;
   options.snapshot_every = 0;  // isolate ingest
-  options.coalesce_batches = coalesce;
   HistogramEngine engine(options);
   const auto start = std::chrono::steady_clock::now();
   for (const std::int64_t v : values) engine.Insert("bench.attr", v);
@@ -266,22 +265,21 @@ int main(int argc, char** argv) {
       values.push_back(static_cast<std::int64_t>(zipf.Sample(rng)));
     }
   }
-  std::printf("\n%-12s%18s%18s%12s\n", "batch", "coalesced up/s",
-              "faithful up/s", "speedup");
-  std::vector<double> on_ups, off_ups;
+  const double op_by_op = MeasureIngest(values, /*batch_size=*/1);
+  std::printf("\n%-14s%16s%14s\n", "batch", "ingest up/s", "vs op-by-op");
+  std::printf("%-14s%16.0f%14.2f\n", "1 (op-by-op)", op_by_op, 1.0);
+  std::vector<double> coalesced_ups;
   for (const double b : batch_sizes) {
     const int batch = static_cast<int>(b);
-    const double on = MeasureIngest(values, batch, /*coalesce=*/true);
-    const double off = MeasureIngest(values, batch, /*coalesce=*/false);
-    on_ups.push_back(on);
-    off_ups.push_back(off);
-    std::printf("%-12d%18.0f%18.0f%12.2f\n", batch, on, off, on / off);
+    const double ups = MeasureIngest(values, batch);
+    coalesced_ups.push_back(ups);
+    std::printf("%-14d%16.0f%14.2f\n", batch, ups, ups / op_by_op);
     std::fflush(stdout);
   }
   EmitJsonSeries("micro_merge_pipeline", "ingest_ups_coalesced", batch_sizes,
-                 on_ups);
-  EmitJsonSeries("micro_merge_pipeline", "ingest_ups_faithful", batch_sizes,
-                 off_ups);
+                 coalesced_ups);
+  EmitJsonSeries("micro_merge_pipeline", "ingest_ups_op_by_op_batch1", {1.0},
+                 {op_by_op});
 
   std::printf(ok ? "micro_merge_pipeline: PASS\n"
                  : "micro_merge_pipeline: FAIL\n");

@@ -24,7 +24,11 @@
 #   worse       B's median is worse than A's by more than the metric's
 #               bound;
 #   better      B wins at least 9 in 10 pairs and the medians differ by
-#               more than A's interquartile range;
+#               more than A's interquartile range and by at least 1% of
+#               A's median (the effect-size floor: a paced metric, such
+#               as read_mostly's ingest_ups under its rate limiter, has
+#               an IQR of 0, so without the floor a 0.05% jitter that B
+#               happens to win 9 times in 10 would read as a gain);
 #   unresolved  A's interquartile range is wider than the bound, unless
 #               every B run beats every A run;
 #   unchanged   otherwise.
@@ -125,6 +129,7 @@ pairs = int(pairs)
 seconds = float(seconds) if seconds else float(bench["run_seconds"])
 metrics = bench["end_to_end"]
 RUN_TIMEOUT_S = 170  # as perfbench/run.py
+MIN_EFFECT = 0.01  # smallest relative median gain that can read "better"
 
 
 def run(binary, side, workload, index):
@@ -185,7 +190,8 @@ for workload in workloads:
         if sign * delta < -m["bound"]:
             verdict = "worse"
             status = 1
-        elif wins >= math.ceil(0.9 * pairs) and sign * delta > iqr:
+        elif (wins >= math.ceil(0.9 * pairs) and sign * delta > iqr
+              and sign * delta >= MIN_EFFECT):
             verdict = "better"
         elif iqr > m["bound"] and not all_beat:
             verdict = "unresolved"

@@ -38,7 +38,14 @@ struct EngineOptions {
   int shards = 8;
 
   /// Operations buffered per shard before the shard's histogram lock is
-  /// taken and the batch applied. 1 applies every update immediately.
+  /// taken and the batch applied. A drained batch collapses duplicate
+  /// values into weighted InsertN/DeleteN calls (inserts before deletes
+  /// per value, groups in first-occurrence order), so batch cost tracks
+  /// distinct values rather than operations — a large win for skewed
+  /// streams. Weighted steps take a different bucket-border trajectory
+  /// than a one-by-one replay (estimation quality and total mass do not
+  /// change). 1 applies every update immediately, op by op: the faithful
+  /// replay.
   int batch_size = 64;
 
   /// Updates (per key) between automatic snapshot publications. 0 disables
@@ -62,16 +69,6 @@ struct EngineOptions {
   /// of ST-FEEDBACK shards (see StFeedbackConfig). The `buckets` field is
   /// ignored — `shard_buckets` sizes every shard kind uniformly.
   StFeedbackConfig st_feedback{};
-
-  /// Sort each drained shard batch by value and collapse duplicate values
-  /// into weighted InsertN/DeleteN calls (inserts before deletes per
-  /// value), so batch cost tracks distinct values rather than operations —
-  /// a large win for skewed streams. Coalescing reorders operations across
-  /// values inside one batch and takes weighted maintenance steps, so the
-  /// exact bucket-border trajectory differs from a one-by-one replay
-  /// (estimation quality and total mass do not). Disable for op-order
-  /// faithful replay.
-  bool coalesce_batches = true;
 
   /// When positive, merge worker 0 ticks at this cadence, enqueueing a
   /// publish request for every key (of either publish mode) with

@@ -352,8 +352,8 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
   // predicate does not hash to one shard the way a value does, so each
   // shard trains toward its expected share and the publish-time
   // Superimpose sums the shares back to the full cardinality. The op
-  // rides the normal batch buffer (coalesced like inserts) and counts
-  // one update toward the publish cadence.
+  // rides the normal batch buffer and counts one update toward the
+  // publish cadence.
   const double share =
       actual / static_cast<double>(state.shards.size());
   const UpdateOp op = UpdateOp::Feedback(lo, hi, share);
@@ -606,7 +606,7 @@ telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
                 "Operations per drained shard batch", ingest_batch_hist_);
   add_histogram(
       "dynhist_coalesce_run_length",
-      "Duplicate operations collapsed per coalesced group (runs >= 2)",
+      "Data operations collapsed per coalesced value group (groups >= 2)",
       coalesce_run_hist_);
   add_histogram(
       "dynhist_query_latency_ns",

@@ -187,8 +187,8 @@ class HistogramEngine {
   /// 1/shards — a range does not hash to one shard the way a value
   /// does, so each shard trains toward its 1/shards share and the
   /// publish-time Superimpose sums the shares back to the full
-  /// cardinality. Feedback rides the normal batch buffers (coalesced
-  /// like inserts — see EngineShard), counts one update toward the
+  /// cardinality. Feedback rides the normal batch buffers (applied
+  /// in arrival order — see EngineShard), counts one update toward the
   /// publish cadence, and is a no-op on data-driven backends (DC/DVO/
   /// DADO ignore it), so it is safe against any key. Thread-safe.
   void RecordFeedback(std::string_view key, std::int64_t lo, std::int64_t hi,

@@ -37,7 +37,6 @@ std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options) {
 EngineShard::EngineShard(const EngineOptions& options,
                          const ShardTelemetry& telemetry)
     : batch_size_(options.batch_size < 1 ? 1 : options.batch_size),
-      coalesce_(options.coalesce_batches),
       telemetry_(telemetry),
       histogram_(MakeShardHistogram(options)) {
   buffer_.reserve(static_cast<std::size_t>(batch_size_));
@@ -47,16 +46,7 @@ void EngineShard::Push(const UpdateOp& op) {
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.push_back(op);
   if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
-
-  // Full batch: take the histogram lock *before* releasing the buffer lock
-  // so batches reach the histogram in fill order, then drain outside the
-  // buffer lock so other producers can refill immediately.
-  std::vector<UpdateOp> batch;
-  batch.reserve(static_cast<std::size_t>(batch_size_));
-  buffer_.swap(batch);
-  std::unique_lock<std::mutex> hist_lock(hist_mu_);
-  buffer_lock.unlock();
-  ApplyLocked(batch);
+  Drain(std::move(buffer_lock));
 }
 
 void EngineShard::PushMany(const std::vector<UpdateOp>& ops) {
@@ -64,32 +54,20 @@ void EngineShard::PushMany(const std::vector<UpdateOp>& ops) {
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.insert(buffer_.end(), ops.begin(), ops.end());
   if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
-  std::vector<UpdateOp> batch;
-  buffer_.swap(batch);
-  std::unique_lock<std::mutex> hist_lock(hist_mu_);
-  buffer_lock.unlock();
-  ApplyLocked(batch);
+  Drain(std::move(buffer_lock));
 }
 
-void EngineShard::Flush() {
-  std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
-  if (buffer_.empty()) return;
-  std::vector<UpdateOp> batch;
-  buffer_.swap(batch);
-  std::unique_lock<std::mutex> hist_lock(hist_mu_);
-  buffer_lock.unlock();
-  ApplyLocked(batch);
-}
+void EngineShard::Flush() { Drain(std::unique_lock<std::mutex>(buffer_mu_)); }
 
 HistogramModel EngineShard::ExportModel() {
-  Flush();
-  std::lock_guard<std::mutex> hist_lock(hist_mu_);
+  const std::unique_lock<std::mutex> hist_lock =
+      Drain(std::unique_lock<std::mutex>(buffer_mu_));
   return histogram_->Model();
 }
 
 double EngineShard::TotalCount() {
-  Flush();
-  std::lock_guard<std::mutex> hist_lock(hist_mu_);
+  const std::unique_lock<std::mutex> hist_lock =
+      Drain(std::unique_lock<std::mutex>(buffer_mu_));
   return histogram_->TotalCount();
 }
 
@@ -98,53 +76,57 @@ std::size_t EngineShard::BufferedOps() const {
   return buffer_.size();
 }
 
+std::unique_lock<std::mutex> EngineShard::Drain(
+    std::unique_lock<std::mutex> buffer_lock) {
+  // A full buffer means writers are pushing: hand it fresh storage for
+  // the next batch so it refills without regrowing. A partial drain
+  // (Flush, a publish export) leaves it none, so idle shards hold no
+  // storage: reserving on every drain would pin a buffer on every shard
+  // of every key, which a many-key engine pays for in resident memory.
+  std::vector<UpdateOp> batch;
+  if (buffer_.size() >= static_cast<std::size_t>(batch_size_)) {
+    batch.reserve(static_cast<std::size_t>(batch_size_));
+  }
+  buffer_.swap(batch);
+  // Take the histogram lock *before* releasing the buffer lock so batches
+  // reach the histogram in fill order, then apply outside the buffer lock
+  // so other producers can refill immediately.
+  std::unique_lock<std::mutex> hist_lock(hist_mu_);
+  buffer_lock.unlock();
+  if (!batch.empty()) ApplyLocked(batch);
+  return hist_lock;
+}
+
 void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
   if (telemetry_.batch_ops != nullptr) {
     telemetry_.batch_ops->Record(batch.size());
   }
-  if (coalesce_ && batch.size() > 1) {
-    // Coalesce in batch_size_-bounded chunks: Push-path batches are one
-    // chunk; an oversized PushMany/Flush drain is split so the histogram
-    // still adapts (repartitions) at the configured cadence instead of
-    // absorbing the whole drain as a handful of giant weighted steps.
-    const auto chunk = static_cast<std::size_t>(batch_size_);
-    for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
-      const std::size_t end = std::min(batch.size(), begin + chunk);
-      // Feedback ops must not enter the value-sorted data coalesce:
-      // segment the chunk into maximal data / feedback runs, coalescing
-      // each kind its own way while preserving their relative order (the
-      // feedback update rule reads the frequencies data ops write).
-      std::size_t seg = begin;
-      while (seg < end) {
-        const bool feedback = batch[seg].kind == UpdateOp::Kind::kFeedback;
-        std::size_t stop = seg + 1;
-        while (stop < end &&
-               (batch[stop].kind == UpdateOp::Kind::kFeedback) == feedback) {
-          ++stop;
-        }
-        if (feedback) {
-          CoalesceFeedbackAndApply(batch, seg, stop);
-        } else {
-          CoalesceAndApply(batch, seg, stop);
-        }
-        seg = stop;
+  // Coalesce in batch_size_-bounded chunks: Push-path batches are one
+  // chunk; an oversized PushMany/Flush drain is split so the histogram
+  // still adapts (repartitions) at the configured cadence instead of
+  // absorbing the whole drain as a handful of giant weighted steps.
+  const auto chunk = static_cast<std::size_t>(batch_size_);
+  for (std::size_t begin = 0; begin < batch.size(); begin += chunk) {
+    const std::size_t end = std::min(batch.size(), begin + chunk);
+    // Feedback ops must not enter the value-sorted data coalesce: each
+    // maximal run of data ops coalesces on its own, and feedback applies
+    // one observation at a time between them, in arrival order (the
+    // feedback update rule reads the frequencies data ops write, and is
+    // not commutative across predicates).
+    std::size_t seg = begin;
+    while (seg < end) {
+      const UpdateOp& op = batch[seg];
+      if (op.kind == UpdateOp::Kind::kFeedback) {
+        histogram_->ApplyFeedback(op.value, op.hi, op.actual);
+        ++seg;
+        continue;
       }
-    }
-  } else {
-    for (const UpdateOp& op : batch) {
-      switch (op.kind) {
-        case UpdateOp::Kind::kInsert:
-          histogram_->Insert(op.value);
-          break;
-        case UpdateOp::Kind::kDelete:
-          // The engine's supported kinds ignore live_copies_before (see
-          // ShardHistogramKind); 1 is the conservative "it existed" value.
-          histogram_->Delete(op.value, 1);
-          break;
-        case UpdateOp::Kind::kFeedback:
-          histogram_->ApplyFeedback(op.value, op.hi, op.actual);
-          break;
+      std::size_t stop = seg + 1;
+      while (stop < end && batch[stop].kind != UpdateOp::Kind::kFeedback) {
+        ++stop;
       }
+      CoalesceAndApply(batch, seg, stop);
+      seg = stop;
     }
   }
 }
@@ -194,27 +176,6 @@ void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,
     }
     if (g.inserts > 0) histogram_->InsertN(g.value, g.inserts);
     if (g.deletes > 0) histogram_->DeleteN(g.value, g.deletes);
-  }
-}
-
-void EngineShard::CoalesceFeedbackAndApply(
-    const std::vector<UpdateOp>& batch, std::size_t begin, std::size_t end) {
-  // Consecutive identical observations (a repeated predicate) collapse
-  // into one weighted ApplyFeedbackN — bit-identical to the sequential
-  // replay by the Histogram contract. Distinct observations keep their
-  // arrival order: the error-driven update rule is not commutative
-  // across predicates, so reordering would change the trajectory.
-  std::size_t i = begin;
-  while (i < end) {
-    std::size_t j = i + 1;
-    while (j < end && batch[j] == batch[i]) ++j;
-    const auto run = static_cast<std::int64_t>(j - i);
-    if (run >= 2 && telemetry_.coalesce_run != nullptr) {
-      telemetry_.coalesce_run->Record(static_cast<std::uint64_t>(run));
-    }
-    histogram_->ApplyFeedbackN(batch[i].value, batch[i].hi, batch[i].actual,
-                               run);
-    i = j;
   }
 }
 

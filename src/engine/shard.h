@@ -42,10 +42,11 @@ std::unique_ptr<Histogram> MakeShardHistogram(const EngineOptions& options);
 struct ShardTelemetry {
   /// Operations per drained batch (how full batches run in practice).
   telemetry::LogHistogram* batch_ops = nullptr;
-  /// Run length of each coalesced group that actually collapsed
-  /// duplicates (length >= 2) — the distribution of how much work
-  /// coalescing saves; singleton groups are not recorded (they dominate
-  /// uniform streams and would put a per-op record on the hot path).
+  /// Size of each coalesced data group (inserts plus deletes of one
+  /// value) that actually collapsed duplicates (size >= 2) — the
+  /// distribution of how much work coalescing saves; singleton groups are
+  /// not recorded (they dominate uniform streams and would put a per-op
+  /// record on the hot path). Feedback ops are never coalesced.
   telemetry::LogHistogram* coalesce_run = nullptr;
 };
 
@@ -80,28 +81,27 @@ class EngineShard {
   std::size_t BufferedOps() const;
 
  private:
-  // Applies `batch` under hist_mu_ (already locked by the caller's
-  // std::unique_lock, passed to document the protocol). With coalescing
-  // enabled, duplicate values collapse into weighted InsertN/DeleteN
-  // calls (inserts first per value, groups in first-occurrence order, via
-  // a sorted index scratch — the batch itself is not reordered), so the
-  // histogram pays one maintenance step per distinct value; otherwise ops
-  // replay one by one in push order.
+  // The one drain. Called with the buffer lock held: swaps the buffer
+  // out, takes hist_mu_ before releasing the buffer lock (so batches
+  // reach the histogram in fill order), applies the batch, and returns
+  // still holding hist_mu_ so ExportModel/TotalCount read the histogram
+  // under the same acquisition.
+  std::unique_lock<std::mutex> Drain(std::unique_lock<std::mutex> buffer_lock);
+
+  // Applies `batch` under hist_mu_ in batch_size_ chunks. Data runs
+  // coalesce by value into weighted InsertN/DeleteN calls; feedback ops
+  // apply one by one in arrival order. A single-op batch is therefore
+  // InsertN(v, 1) / DeleteN(v, 1) / ApplyFeedback, the op-by-op replay.
   void ApplyLocked(const std::vector<UpdateOp>& batch);
 
   // Coalesces batch[begin, end) by value and applies the weighted groups
-  // in first-occurrence order (under hist_mu_). Data ops only.
+  // (inserts first per value, groups in first-occurrence order, via a
+  // sorted index scratch — the batch itself is not reordered), so the
+  // histogram pays one maintenance step per distinct value. Data ops only.
   void CoalesceAndApply(const std::vector<UpdateOp>& batch, std::size_t begin,
                         std::size_t end);
 
-  // Coalesces a run of feedback ops batch[begin, end): consecutive
-  // identical observations collapse into one ApplyFeedbackN; distinct
-  // observations stay in arrival order (under hist_mu_).
-  void CoalesceFeedbackAndApply(const std::vector<UpdateOp>& batch,
-                                std::size_t begin, std::size_t end);
-
   const int batch_size_;
-  const bool coalesce_;
   const ShardTelemetry telemetry_;
 
   mutable std::mutex buffer_mu_;

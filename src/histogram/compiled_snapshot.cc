@@ -124,6 +124,19 @@ double CompiledSnapshot::CdfMass(double x) const {
   return r.prefix + r.count * in_piece / r.width;
 }
 
+double CompiledSnapshot::InverseCdf(double mass) const {
+  if (n_ == 0) return 0.0;
+  // rows()[1..n].prefix is the mass through each piece, ascending.
+  const Row* r = rows();
+  const Row* it = std::lower_bound(
+      r + 1, r + n_ + 1, mass,
+      [](const Row& row, double m) { return row.prefix < m; });
+  const auto i = static_cast<std::size_t>(it - r) - 1;
+  if (i >= n_) return borders()[n_ - 1];
+  if (r[i].count <= 0.0) return r[i].left;
+  return r[i].left + ((mass - r[i].prefix) / r[i].count) * r[i].width;
+}
+
 double CompiledSnapshot::MassInRealRange(double lo, double hi) const {
   if (n_ == 0) return 0.0;
   std::size_t ilo, ihi;

@@ -101,6 +101,13 @@ class CompiledSnapshot {
     return CompiledSnapshot(model.pieces());
   }
 
+  /// Compiles bare pieces (ascending, non-overlapping, positive widths —
+  /// the HistogramModel invariants) without building a model first.
+  static CompiledSnapshot Compile(
+      const std::vector<HistogramModel::Piece>& pieces) {
+    return CompiledSnapshot(pieces);
+  }
+
   /// The arena's pieces as a model: one single-piece bucket per row, with
   /// {left, right, count} bit-identical to the compiled model's pieces.
   /// The source's bucket grouping and `singular` flags are not kept.
@@ -116,6 +123,12 @@ class CompiledSnapshot {
   /// Mass strictly left of x, in (-inf, x): one branch-free search.
   /// Empty arenas return 0.
   double CdfMass(double x) const;
+
+  /// The inverse of CdfMass: the smallest x with CdfMass(x) >= mass,
+  /// interpolated inside the piece whose prefix range reaches `mass` (an
+  /// empty piece answers its left border). Masses past the total return
+  /// the last right border; empty arenas return 0.
+  double InverseCdf(double mass) const;
 
   /// Mass in the real interval [lo, hi); requires lo <= hi.
   double MassInRealRange(double lo, double hi) const;

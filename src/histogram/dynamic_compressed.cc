@@ -5,63 +5,9 @@
 
 #include "src/common/check.h"
 #include "src/common/math.h"
+#include "src/histogram/compiled_snapshot.h"
 
 namespace dynhist {
-
-namespace {
-
-// Piecewise-uniform cumulative mass over a run of buckets; used to invert
-// quantiles when respecifying borders during repartition.
-class PiecewiseCdf {
- public:
-  struct Piece {
-    double left, right, count;
-  };
-
-  explicit PiecewiseCdf(std::vector<Piece> pieces)
-      : pieces_(std::move(pieces)), prefix_(pieces_.size() + 1, 0.0) {
-    for (std::size_t i = 0; i < pieces_.size(); ++i) {
-      prefix_[i + 1] = prefix_[i] + pieces_[i].count;
-    }
-  }
-
-  double TotalMass() const { return prefix_.back(); }
-
-  // Mass strictly left of x.
-  double CumAt(double x) const {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < pieces_.size(); ++i) {
-      const Piece& p = pieces_[i];
-      if (x >= p.right) {
-        acc += p.count;
-      } else if (x > p.left) {
-        acc += p.count * (x - p.left) / (p.right - p.left);
-        break;
-      } else {
-        break;
-      }
-    }
-    return acc;
-  }
-
-  // Smallest x with CumAt(x) >= target (piecewise-linear inversion).
-  double Invert(double target) const {
-    const auto it = std::lower_bound(prefix_.begin() + 1, prefix_.end(),
-                                     target);
-    const auto i = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-    if (i >= pieces_.size()) return pieces_.back().right;
-    const Piece& p = pieces_[i];
-    if (p.count <= 0.0) return p.left;
-    const double need = target - prefix_[i];
-    return p.left + (need / p.count) * (p.right - p.left);
-  }
-
- private:
-  std::vector<Piece> pieces_;
-  std::vector<double> prefix_;
-};
-
-}  // namespace
 
 DynamicCompressedHistogram::DynamicCompressedHistogram(
     const DynamicCompressedConfig& config)
@@ -330,7 +276,7 @@ void DynamicCompressedHistogram::Repartition() {
   // Step 2: carve the axis into maximal regions of consecutive regular
   // buckets separated by the surviving singulars.
   struct Region {
-    std::vector<PiecewiseCdf::Piece> pieces;
+    std::vector<HistogramModel::Piece> pieces;
     double left = 0.0, right = 0.0, mass = 0.0;
   };
   std::vector<Region> regions;
@@ -434,13 +380,15 @@ void DynamicCompressedHistogram::Repartition() {
   std::size_t singular_idx = 0;
   const auto emit_region = [&](const Region& region, std::int64_t n_buckets) {
     if (n_buckets <= 0 || region.mass <= 0.0) return;
-    const PiecewiseCdf cdf(region.pieces);
+    // The region's piecewise-uniform CDF, inverted for the equi-depth
+    // borders and read back for their counts.
+    const CompiledSnapshot cdf = CompiledSnapshot::Compile(region.pieces);
     std::vector<double> borders;
     borders.push_back(region.left);
     for (std::int64_t j = 1; j < n_buckets; ++j) {
       const double target =
           region.mass * static_cast<double>(j) / static_cast<double>(n_buckets);
-      double x = std::round(cdf.Invert(target));
+      double x = std::round(cdf.InverseCdf(target));
       const double lo = borders.back() + 1.0;
       const double hi =
           region.right - static_cast<double>(n_buckets - j);
@@ -449,7 +397,8 @@ void DynamicCompressedHistogram::Repartition() {
     }
     borders.push_back(region.right);
     for (std::size_t j = 0; j + 1 < borders.size(); ++j) {
-      const double count = cdf.CumAt(borders[j + 1]) - cdf.CumAt(borders[j]);
+      const double count =
+          cdf.CdfMass(borders[j + 1]) - cdf.CdfMass(borders[j]);
       rebuilt.push_back({borders[j], std::max(0.0, count), false});
     }
   };

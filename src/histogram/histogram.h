@@ -42,14 +42,17 @@ class Histogram {
   /// instead of O(operations). A weighted step may take a different
   /// maintenance trajectory (repartition trigger points) than the
   /// one-by-one replay; total mass and estimation quality are unaffected.
+  /// InsertN(v, 1) must equal Insert(v) exactly: an engine running at
+  /// batch_size 1 relies on it for its op-by-op replay.
   virtual void InsertN(std::int64_t value, std::int64_t count) {
     for (std::int64_t i = 0; i < count; ++i) Insert(value);
   }
 
   /// Records `count` deletions of `value`. Equivalent to `count` Delete()
   /// calls with the conservative live-copies value of 1 (the engine's
-  /// convention; see Delete). Overrides fall back to per-operation deletes
-  /// whenever the weighted fast path cannot remove the full `count`.
+  /// convention; see Delete), and exactly Delete(v, 1) when `count` is 1.
+  /// Overrides fall back to per-operation deletes whenever the weighted
+  /// fast path cannot remove the full `count`.
   virtual void DeleteN(std::int64_t value, std::int64_t count) {
     for (std::int64_t i = 0; i < count; ++i) Delete(value, 1);
   }
@@ -61,28 +64,14 @@ class Histogram {
   /// their buckets and return the pre-update absolute error
   /// |actual - est|; data-driven histograms ignore the observation and
   /// return -1.0 (the "unsupported" sentinel), so feedback can be
-  /// broadcast to heterogeneous backends safely.
+  /// broadcast to heterogeneous backends safely. The engine applies
+  /// feedback one observation at a time, in arrival order.
   virtual double ApplyFeedback(std::int64_t lo, std::int64_t hi,
                                double actual) {
     (void)lo;
     (void)hi;
     (void)actual;
     return -1.0;
-  }
-
-  /// Records `times` identical feedback observations — the coalesced
-  /// form the engine's batch buffers produce for repeated predicates.
-  /// Equivalent to `times` ApplyFeedback calls (overrides must keep the
-  /// trajectory bit-identical to the sequential replay); returns the
-  /// first call's pre-update absolute error.
-  virtual double ApplyFeedbackN(std::int64_t lo, std::int64_t hi,
-                                double actual, std::int64_t times) {
-    double first = -1.0;
-    for (std::int64_t i = 0; i < times; ++i) {
-      const double abs_err = ApplyFeedback(lo, hi, actual);
-      if (i == 0) first = abs_err;
-    }
-    return first;
   }
 
   /// Exports the current estimation snapshot.

@@ -199,6 +199,31 @@ TEST(CompiledSnapshot, ZeroMassCoveredRangesAnswerZero) {
   EXPECT_EQ(compiled.CdfMass(25.0), walk.CdfMass(25.0));
 }
 
+TEST(CompiledSnapshot, InverseCdfInvertsCdfMass) {
+  // Bare pieces with a zero-count piece and a gap; Compile(pieces) is the
+  // same arena as compiling them as a model.
+  const std::vector<HistogramModel::Piece> pieces = {
+      {0.0, 10.0, 20.0}, {10.0, 12.0, 0.0}, {15.0, 25.0, 5.0}};
+  const CompiledSnapshot compiled = CompiledSnapshot::Compile(pieces);
+  EXPECT_EQ(compiled, CompiledSnapshot::Compile(
+                          HistogramModel::FromSimpleBuckets(pieces)));
+  EXPECT_EQ(compiled.InverseCdf(0.0), 0.0);
+  EXPECT_EQ(compiled.InverseCdf(5.0), 2.5);
+  EXPECT_EQ(compiled.InverseCdf(20.0), 10.0);  // the first piece's end
+  EXPECT_EQ(compiled.InverseCdf(22.5), 20.0);  // past the empty piece, gap
+  EXPECT_EQ(compiled.InverseCdf(25.0), 25.0);
+  EXPECT_EQ(compiled.InverseCdf(30.0), 25.0);  // past the total
+  for (const double x : {1.0, 7.25, 16.0, 24.5}) {
+    const double mass = compiled.CdfMass(x);
+    EXPECT_DOUBLE_EQ(compiled.CdfMass(compiled.InverseCdf(mass)), mass);
+  }
+  // An empty piece answers its left border; an empty arena answers 0.
+  const std::vector<HistogramModel::Piece> empty_first = {
+      {3.0, 10.0, 0.0}, {10.0, 20.0, 5.0}};
+  EXPECT_EQ(CompiledSnapshot::Compile(empty_first).InverseCdf(0.0), 3.0);
+  EXPECT_EQ(CompiledSnapshot().InverseCdf(1.0), 0.0);
+}
+
 TEST(CompiledSnapshot, EmptyModelCompilesAndAnswersZero) {
   const CompiledSnapshot compiled =
       CompiledSnapshot::Compile(HistogramModel());

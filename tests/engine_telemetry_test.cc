@@ -394,9 +394,7 @@ TEST(EngineTelemetryTest, ExpositionExposesPerKeySeriesAndStaleness) {
 }
 
 TEST(EngineTelemetryTest, IngestDistributionsRecordAtBatchGranularity) {
-  EngineOptions options = ManualOptions();
-  options.coalesce_batches = true;
-  HistogramEngine engine(options);
+  HistogramEngine engine(ManualOptions());
   // Eight copies of one value in a 4-op-batch engine: at least one drain
   // records a batch size, and coalescing collapses a run of >= 2.
   engine.InsertBatch("k", {5, 5, 5, 5, 5, 5, 5, 5});

@@ -124,40 +124,45 @@ TEST(HistogramEngineTest, AutoPublishFollowsSnapshotCadence) {
 }
 
 TEST(HistogramEngineTest, InsertBatchMatchesLoopInserts) {
-  // Coalescing groups a batch by value, so the two ingestion paths only
-  // stay operation-for-operation identical with it disabled (they drain
-  // batches of different sizes); this test pins the buffer plumbing, the
-  // next one covers coalescing itself.
-  EngineOptions options = TestOptions();
-  options.coalesce_batches = false;
+  // From empty, one InsertBatch drains every shard in batch_size chunks,
+  // and the loop's last partial batch drains at publish: the two paths
+  // coalesce the same chunks and publish the same arena, byte for byte.
   const auto values = ZipfValues(10'000, 6);
-  HistogramEngine loop_engine(options);
-  HistogramEngine batch_engine(options);
-  for (const std::int64_t v : values) loop_engine.Insert(kKey, v);
-  batch_engine.InsertBatch(kKey, values);
-  EXPECT_DOUBLE_EQ(loop_engine.LiveTotalCount(kKey),
-                   batch_engine.LiveTotalCount(kKey));
-  const double a =
-      loop_engine.RefreshSnapshot(kKey).EstimateRange(0, kDomain / 2);
-  const double b =
-      batch_engine.RefreshSnapshot(kKey).EstimateRange(0, kDomain / 2);
-  EXPECT_NEAR(a, b, 1e-6);
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo}) {
+    for (const int batch_size : {1, 16, 64, 256}) {
+      EngineOptions options = TestOptions();
+      options.kind = kind;
+      options.batch_size = batch_size;
+      HistogramEngine loop_engine(options);
+      HistogramEngine batch_engine(options);
+      for (const std::int64_t v : values) loop_engine.Insert(kKey, v);
+      batch_engine.InsertBatch(kKey, values);
+      EXPECT_DOUBLE_EQ(loop_engine.LiveTotalCount(kKey),
+                       batch_engine.LiveTotalCount(kKey));
+      EXPECT_TRUE(loop_engine.RefreshSnapshot(kKey).compiled() ==
+                  batch_engine.RefreshSnapshot(kKey).compiled())
+          << "kind " << static_cast<int>(kind) << " batch " << batch_size;
+    }
+  }
 }
 
 TEST(HistogramEngineTest, CoalescedBatchesConserveMassAndQuality) {
-  // Coalescing changes the maintenance trajectory but must conserve mass
-  // exactly and stay in the same estimation-quality class.
+  // Coalescing changes the maintenance trajectory against the op-by-op
+  // replay (batch_size 1) but must conserve mass exactly and stay in the
+  // same estimation-quality class.
   const auto values = ZipfValues(20'000, 12);
   EngineOptions coalesced = TestOptions();
   coalesced.batch_size = 256;  // plenty of duplicates per batch at z=1
-  EngineOptions faithful = coalesced;
-  faithful.coalesce_batches = false;
+  EngineOptions op_by_op = coalesced;
+  op_by_op.batch_size = 1;
 
   FrequencyVector truth(kDomain);
   for (const std::int64_t v : values) truth.Insert(v);
 
   HistogramEngine a(coalesced);
-  HistogramEngine b(faithful);
+  HistogramEngine b(op_by_op);
   a.InsertBatch(kKey, values);
   b.InsertBatch(kKey, values);
   EXPECT_DOUBLE_EQ(a.LiveTotalCount(kKey), 20'000.0);
@@ -547,8 +552,11 @@ TEST(HistogramEngineTest, PublishExternalFlattensBucketGrouping) {
 TEST(HistogramEngineTest, SnapshotModelIsTheMergerOutputForEveryBackend) {
   // model() rebuilds the published pieces from the arena; they must be
   // the merger's output bit for bit, and TotalCount() the rebuilt total.
-  // The replica is a lone EngineShard fed the same op sequence: with one
-  // shard every op reaches shard 0 in arrival order.
+  // Two replicas are fed the same op sequence: with one shard every op
+  // reaches shard 0 in arrival order. A lone EngineShard replays the
+  // engine's batches; a plain histogram fed op by op replays an engine at
+  // batch_size 1. The stream mixes inserts, deletes and feedback with
+  // runs of repeated identical predicates.
   for (const ShardHistogramKind kind :
        {ShardHistogramKind::kDynamicCompressed,
         ShardHistogramKind::kDynamicVOpt, ShardHistogramKind::kDynamicAdo,
@@ -556,19 +564,45 @@ TEST(HistogramEngineTest, SnapshotModelIsTheMergerOutputForEveryBackend) {
     EngineOptions options = TestOptions();
     options.shards = 1;
     options.kind = kind;
+    EngineOptions op_by_op_options = options;
+    op_by_op_options.batch_size = 1;
     HistogramEngine engine(options);
+    HistogramEngine op_by_op_engine(op_by_op_options);
     EngineShard replica(options);
-    for (const std::int64_t v : ZipfValues(4'000, 31)) {
-      engine.Insert(kKey, v);
-      replica.Push(UpdateOp::Insert(v));
-    }
+    const std::unique_ptr<Histogram> plain = MakeShardHistogram(options);
+    const auto apply = [&](const UpdateOp& op) {
+      testing::ApplyToEngine(engine, kKey, op);
+      testing::ApplyToEngine(op_by_op_engine, kKey, op);
+      replica.Push(op);
+      switch (op.kind) {
+        case UpdateOp::Kind::kInsert:
+          plain->Insert(op.value);
+          break;
+        case UpdateOp::Kind::kDelete:
+          plain->Delete(op.value, 1);
+          break;
+        case UpdateOp::Kind::kFeedback:
+          plain->ApplyFeedback(op.value, op.hi, op.actual);
+          break;
+      }
+    };
+    const auto values = ZipfValues(4'000, 31);
+    for (const std::int64_t v : values) apply(UpdateOp::Insert(v));
     Rng rng(8);
     for (int i = 0; i < 200; ++i) {
+      // Every fourth step deletes a live value; the others observe a
+      // predicate, repeated up to 4 times in a row.
+      if (i % 4 == 3) {
+        apply(UpdateOp::Delete(values[static_cast<std::size_t>(i)]));
+        continue;
+      }
       const std::int64_t lo = rng.UniformInt(0, kDomain - 50);
       const std::int64_t hi = lo + rng.UniformInt(0, 49);
       const double actual = static_cast<double>(rng.UniformInt(0, 300));
-      engine.RecordFeedback(kKey, lo, hi, actual);
-      replica.Push(UpdateOp::Feedback(lo, hi, actual));
+      const std::int64_t repeats = rng.UniformInt(1, 4);
+      for (std::int64_t r = 0; r < repeats; ++r) {
+        apply(UpdateOp::Feedback(lo, hi, actual));
+      }
     }
     const EngineSnapshot snap = engine.RefreshSnapshot(kKey);
     distributed::SnapshotMerger merger;
@@ -579,6 +613,12 @@ TEST(HistogramEngineTest, SnapshotModelIsTheMergerOutputForEveryBackend) {
     EXPECT_EQ(got.pieces(), want.pieces()) << static_cast<int>(kind);
     EXPECT_EQ(snap.TotalCount(), got.TotalCount()) << static_cast<int>(kind);
     EXPECT_EQ(snap.TotalCount(), want.TotalCount()) << static_cast<int>(kind);
+
+    const HistogramModel want_op_by_op =
+        merger.MergeAndReduce({plain->Model()}, options.merged_buckets);
+    EXPECT_EQ(op_by_op_engine.RefreshSnapshot(kKey).model().pieces(),
+              want_op_by_op.pieces())
+        << static_cast<int>(kind);
   }
 }
 

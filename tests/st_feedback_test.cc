@@ -237,32 +237,11 @@ TEST(StFeedbackTest, DomainGrowsToCoverOutOfRangeTraffic) {
   EXPECT_TRUE(testing::ModelIsValid(h.Model()));
 }
 
-TEST(StFeedbackTest, ApplyFeedbackNMatchesSequentialReplay) {
-  StFeedbackConfig config;
-  config.buckets = 8;
-  config.domain_lo = 0;
-  config.domain_hi = 99;
-  config.restructure_every = 3;  // exercise the cadence inside the batch
-  StFeedbackHistogram batched(config);
-  StFeedbackHistogram sequential(config);
-  const double first = batched.ApplyFeedbackN(10, 39, 120.0, 10);
-  double sequential_first = -1.0;
-  for (int i = 0; i < 10; ++i) {
-    const double abs_err = sequential.ApplyFeedback(10, 39, 120.0);
-    if (i == 0) sequential_first = abs_err;
-  }
-  EXPECT_DOUBLE_EQ(first, sequential_first);
-  EXPECT_TRUE(
-      testing::ModelsBitIdentical(batched.Model(), sequential.Model()));
-  EXPECT_EQ(batched.feedback_count(), sequential.feedback_count());
-}
-
 TEST(StFeedbackTest, DataDrivenBackendsIgnoreFeedback) {
   DynamicCompressedHistogram dc(DynamicCompressedConfig{.buckets = 8});
   for (int i = 0; i < 100; ++i) dc.Insert(i % 50);
   const HistogramModel before = dc.Model();
   EXPECT_DOUBLE_EQ(dc.ApplyFeedback(0, 49, 1e6), -1.0);
-  EXPECT_DOUBLE_EQ(dc.ApplyFeedbackN(0, 49, 1e6, 5), -1.0);
   EXPECT_TRUE(testing::ModelsBitIdentical(before, dc.Model()));
 }
 
