@@ -389,6 +389,12 @@ int main(int argc, char** argv) {
   const std::vector<double> thread_counts =
       options.quick ? std::vector<double>{1, 2, 8}
                     : std::vector<double>{1, 2, 4, 8, 16};
+  // The ingest table also has 3- and 4-writer rows (ungated): on a
+  // 4-core machine 8 writers and more oversubscribe the cores, so the
+  // scaling up to 4 writers needs rows of its own.
+  const std::vector<double> writer_counts =
+      options.quick ? std::vector<double>{1, 2, 3, 4, 8}
+                    : std::vector<double>{1, 2, 3, 4, 8, 16};
   const std::vector<std::int64_t> values =
       MakeZipfValues(options.points, 1.0, /*seed=*/17);
 
@@ -407,7 +413,7 @@ int main(int argc, char** argv) {
               sharded.batch_size);
   std::printf("%-10s%18s%18s\n", "threads", "sharded up/s", "serial up/s");
   std::vector<double> sharded_ups, serial_ups;
-  for (const double t : thread_counts) {
+  for (const double t : writer_counts) {
     const int threads = static_cast<int>(t);
     sharded_ups.push_back(MeasureIngest(sharded, values, threads));
     serial_ups.push_back(MeasureIngest(serial, values, threads));
@@ -416,9 +422,9 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   EmitJsonSeries("micro_engine_throughput", "updates_per_sec_sharded",
-                 thread_counts, sharded_ups);
+                 writer_counts, sharded_ups);
   EmitJsonSeries("micro_engine_throughput", "updates_per_sec_serial",
-                 thread_counts, serial_ups);
+                 writer_counts, serial_ups);
 
   // Instrumentation overhead: identical single-writer ingest with
   // telemetry recording on vs off. Interleaved best-of-3 per mode: the

@@ -85,15 +85,20 @@ namespace dynhist::engine {
 /// max_publish_nanos), so per-key stats sum to the global at any
 /// synchronization point. Each field is one row of the counter table in
 /// histogram_engine.cc, which also names its JSON field and its
-/// engine-wide and per-key exposition series.
+/// engine-wide and per-key exposition series. A key's inserts, deletes
+/// and feedbacks are its shards' accept counts (see EngineShard), summed
+/// at read time; the other per-key counters are the key's KeyCounters.
 ///
-/// Memory-ordering contract: every counter is incremented with release
-/// ordering and read by Stats() with acquire ordering, so a counter value
-/// carries the writes that produced it (a reader that sees publishes == N
-/// also sees the Nth published snapshot). Counters are individually
-/// monotone, but mutually consistent only after a synchronization point —
-/// quiescence, DrainPublishes(), or StopPublishWorkers() — because they
-/// are not incremented under one lock.
+/// Memory-ordering contract: a counter value carries the writes that
+/// produced it (a reader that sees publishes == N also sees the Nth
+/// published snapshot). KeyCounters cells are incremented with release
+/// ordering and read by Stats() with acquire ordering; an accept count is
+/// incremented under the shard's buffer lock, in the critical section
+/// that accepts the op, and read under that lock. Counters are
+/// individually monotone, but mutually consistent only after a
+/// synchronization point — quiescence, DrainPublishes(), or
+/// StopPublishWorkers() — because they are not incremented under one
+/// lock.
 struct EngineStats {
   std::uint64_t keys = 0;        ///< registered histogram keys
   std::uint64_t inserts = 0;     ///< Insert() calls accepted
@@ -201,10 +206,10 @@ class HistogramEngine {
   void Flush(std::string_view key);
   void FlushAll();
 
-  /// The last published snapshot for `key`. Lock-free on the hot path: one
-  /// shared registry lock plus one atomic shared_ptr load; never touches
-  /// shard locks. An unknown or never-published key yields the empty
-  /// epoch-0 snapshot.
+  /// The last published snapshot for `key`. Lock-free on the hot path: a
+  /// thread-local key cache hit plus one atomic shared_ptr load; never
+  /// touches shard locks. An unknown or never-published key yields the
+  /// empty epoch-0 snapshot.
   EngineSnapshot Snapshot(std::string_view key) const;
 
   /// Flushes, merges, and publishes a fresh snapshot of `key`, returning
@@ -284,13 +289,15 @@ class HistogramEngine {
   /// from the last published snapshot's compiled prefix-CDF arena.
   /// Lock-free and allocation-free.
   ///
-  /// These string-keyed reads are thin wrappers: one transparent
-  /// registry find (shared lock), then the same estimate body the handle
-  /// overloads run. They re-acquire the published shared_ptr per call —
-  /// the pre-handle cost model — and deliberately skip the thread-local
-  /// lease cache so transient lookups never evict the slots long-lived
-  /// handle readers depend on. Hot readers should Resolve() once and
-  /// query through the KeyHandle overloads below.
+  /// These string-keyed reads are thin wrappers: one key resolution (a
+  /// thread-local key cache hit, or a registry find under the shared lock
+  /// on a miss), then the same estimate body the handle overloads run.
+  /// They re-acquire the published shared_ptr per call — the pre-handle
+  /// cost model — and deliberately skip the thread-local lease cache so
+  /// transient lookups never evict the slots long-lived handle readers
+  /// depend on (the key cache holds KeyState pointers only, never a
+  /// snapshot, so it pins no epoch). Hot readers should Resolve() once
+  /// and query through the KeyHandle overloads below.
   double EstimateRange(std::string_view key, std::int64_t lo,
                        std::int64_t hi) const;
   double EstimateEquals(std::string_view key, std::int64_t v) const;
@@ -376,10 +383,13 @@ class HistogramEngine {
   // alias keeps this class's vocabulary unchanged.
   using KeyState = internal::KeyState;
 
-  // Finds the key's state, creating it on the update path. Never returns
-  // nullptr when create is true. `backend` overrides the shard histogram
-  // kind if (and only if) this call creates the key — the
-  // KeyOptionOverrides::backend selector.
+  // Resolves a string key: the calling thread's key cache first (no lock,
+  // no read-modify-write on a hit), else the registry under the shared
+  // lock, which refills the cache slot. FindKey returns nullptr for an
+  // unknown key (never cached); FindOrCreateKey creates it, and its
+  // `backend` overrides the shard histogram kind if (and only if) this
+  // call creates the key — the KeyOptionOverrides::backend selector.
+  // Every string-keyed entry point resolves through one of these.
   KeyState* FindKey(std::string_view key) const;
   KeyState* FindOrCreateKey(std::string_view key);
   KeyState* FindOrCreateKey(std::string_view key,
@@ -417,10 +427,9 @@ class HistogramEngine {
   // Settles the lease hit/miss counters for one revalidation of `state`.
   void CountLease(KeyState& state, bool hit) const;
 
-  // Pushes one op, bumps the key's update count, and runs the publish
-  // cadence; returns the key's state so the caller can settle the
-  // insert/delete counter after the counted work.
-  KeyState* Update(std::string_view key, const UpdateOp& op);
+  // Pushes one op (its shard counts it), bumps the key's update count,
+  // and runs the publish cadence.
+  void Update(std::string_view key, const UpdateOp& op);
 
   // After accepting new updates: publish (sync) or enqueue a publish
   // request (async) if the key's cadence says so.
@@ -478,9 +487,10 @@ class HistogramEngine {
   // True when this engine records distributions/traces/queue-wait; the
   // EngineStats counters are maintained regardless.
   const bool telemetry_on_;
-  // Process-unique engine instance id, part of a lease slot's identity:
-  // a KeyState address reused by a later engine never matches an earlier
-  // engine's thread-local leases (see snapshot_lease.h).
+  // Process-unique engine instance id, part of the identity of a lease
+  // slot and of a key cache slot: a KeyState address reused by a later
+  // engine never matches an earlier engine's thread-local entries (see
+  // snapshot_lease.h).
   const std::uint64_t engine_id_;
 
   // Telemetry instruments. Declared before the key registry so key
@@ -504,9 +514,10 @@ class HistogramEngine {
   alignas(64) mutable telemetry::LogHistogram query_latency_hist_{
       telemetry::LogBucketer::PowersOfTwo()};
 
-  // Heterogeneous (string_view) lookup keeps the per-query FindKey free
-  // of temporary std::string construction — the read path's only
-  // remaining allocation risk for keys beyond the SSO limit.
+  // Heterogeneous (string_view) lookup keeps FindKey's registry find
+  // free of temporary std::string construction — the read path's only
+  // remaining allocation risk for keys beyond the SSO limit. The key
+  // cache indexes its slots by the same hash.
   struct StringHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {

@@ -1,7 +1,8 @@
 // KeyHandle: a resolved, registry-lookup-free name for one engine key.
 //
-// HistogramEngine::Resolve(key) performs the shared-mutex registry find
-// exactly once and hands back a KeyHandle — a stable pointer to the key's
+// HistogramEngine::Resolve(key) resolves the key exactly once (through
+// the calling thread's key cache, or the registry on a miss) and hands
+// back a KeyHandle — a stable pointer to the key's
 // internal state (KeyStates live behind unique_ptrs in a registry that
 // never erases, so the pointer is valid for the engine's lifetime). Every
 // query entry point has a handle overload; a steady-state read through a
@@ -11,9 +12,10 @@
 // This is the object a long-lived reader holds: an optimizer session, a
 // bench reader loop, or — in the distributed tier — a socket server's
 // per-connection state. Transient callers can keep using the string-keyed
-// API, which performs the find per call and deliberately does NOT touch
-// the thread-local lease cache (ephemeral lookups must not evict the
-// slots that long-lived handle readers depend on).
+// API, which resolves the key per call (a key cache hit in the steady
+// state) and deliberately does NOT touch the thread-local lease cache
+// (ephemeral lookups must not evict the slots that long-lived handle
+// readers depend on).
 //
 // A KeyHandle is engine-bound: using a handle after its engine is
 // destroyed, or against a different engine, is undefined (debug-checked

@@ -1,16 +1,18 @@
 // Per-key engine state, hoisted to namespace scope so the reader fast
 // path can name it: a KeyHandle (key_handle.h) is a stable pointer to one
-// KeyState, and the thread-local snapshot lease cache (snapshot_lease.h)
-// validates its cached epoch against KeyState::version. Everything here
-// is owned and orchestrated by HistogramEngine — the struct is an
-// implementation detail published only through the internal namespace.
+// KeyState, the thread-local snapshot lease cache (snapshot_lease.h)
+// validates its cached epoch against KeyState::version, and the engine's
+// thread-local key cache maps string keys to KeyState pointers.
+// Everything here is owned and orchestrated by HistogramEngine — the
+// struct is an implementation detail published only through the internal
+// namespace.
 // A key registers no metrics: the engine's collector reads these atomics
 // (and the feedback-error histogram) at scrape time.
 //
-// Lifetime contract (what makes KeyHandle safe): KeyStates live in a
-// registry that never erases, each behind a unique_ptr, so a KeyState's
-// address is stable from creation to engine destruction. A handle is
-// therefore valid exactly as long as its engine.
+// Lifetime contract (what makes KeyHandle and the key cache safe):
+// KeyStates live in a registry that never erases, each behind a
+// unique_ptr, so a KeyState's address is stable from creation to engine
+// destruction. A handle is therefore valid exactly as long as its engine.
 
 #ifndef DYNHIST_ENGINE_KEY_STATE_H_
 #define DYNHIST_ENGINE_KEY_STATE_H_
@@ -29,15 +31,14 @@
 
 namespace dynhist::engine::internal {
 
-/// One key's share of the EngineStats counters (see the EngineStats
-/// ordering contract in histogram_engine.h; these are what Stats() sums).
+/// One key's share of the EngineStats counters that the key itself keeps
+/// (see the EngineStats ordering contract in histogram_engine.h). The
+/// accept counts (inserts, deletes, feedbacks) are not here: the key's
+/// shards keep them under their buffer locks (EngineShard::Accepted).
 /// The counter table in histogram_engine.cc maps each cell to its
 /// EngineStats field and exposition series — a new counter is one cell
 /// here plus one table row there.
 struct KeyCounters {
-  std::atomic<std::uint64_t> inserts{0};
-  std::atomic<std::uint64_t> deletes{0};
-  std::atomic<std::uint64_t> feedbacks{0};
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> lease_hits{0};
   std::atomic<std::uint64_t> lease_misses{0};

@@ -42,9 +42,24 @@ EngineShard::EngineShard(const EngineOptions& options,
   buffer_.reserve(static_cast<std::size_t>(batch_size_));
 }
 
-void EngineShard::Push(const UpdateOp& op) {
+void EngineShard::CountLocked(const UpdateOp& op) {
+  switch (op.kind) {
+    case UpdateOp::Kind::kInsert:
+      ++accepted_.inserts;
+      break;
+    case UpdateOp::Kind::kDelete:
+      ++accepted_.deletes;
+      break;
+    case UpdateOp::Kind::kFeedback:
+      ++accepted_.feedbacks;
+      break;
+  }
+}
+
+void EngineShard::Push(const UpdateOp& op, bool counted) {
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.push_back(op);
+  if (counted) CountLocked(op);
   if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
   Drain(std::move(buffer_lock));
 }
@@ -53,6 +68,7 @@ void EngineShard::PushMany(const std::vector<UpdateOp>& ops) {
   if (ops.empty()) return;
   std::unique_lock<std::mutex> buffer_lock(buffer_mu_);
   buffer_.insert(buffer_.end(), ops.begin(), ops.end());
+  for (const UpdateOp& op : ops) CountLocked(op);
   if (buffer_.size() < static_cast<std::size_t>(batch_size_)) return;
   Drain(std::move(buffer_lock));
 }
@@ -74,6 +90,11 @@ double EngineShard::TotalCount() {
 std::size_t EngineShard::BufferedOps() const {
   std::lock_guard<std::mutex> buffer_lock(buffer_mu_);
   return buffer_.size();
+}
+
+EngineShard::AcceptCounts EngineShard::Accepted() const {
+  std::lock_guard<std::mutex> buffer_lock(buffer_mu_);
+  return accepted_;
 }
 
 std::unique_lock<std::mutex> EngineShard::Drain(

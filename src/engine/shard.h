@@ -13,6 +13,12 @@
 // Within a shard the applied operation sequence is therefore a
 // linearization of the push order, which keeps insert-before-delete
 // ordering for any single producer.
+//
+// Accept counts: the shard also counts the operations it buffers, in
+// the critical section that buffers them, so an accepted update costs
+// the writer no read-modify-write beyond the buffer lock it already
+// holds. The engine's inserts/deletes/feedbacks statistics are these
+// counts summed over a key's shards.
 
 #ifndef DYNHIST_ENGINE_SHARD_H_
 #define DYNHIST_ENGINE_SHARD_H_
@@ -59,12 +65,21 @@ class EngineShard {
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
 
-  /// Enqueues one operation; drains the buffer into the histogram when it
-  /// reaches the batch size. Thread-safe.
-  void Push(const UpdateOp& op);
+  /// Operations accepted into the buffer, by kind.
+  struct AcceptCounts {
+    std::uint64_t inserts = 0;
+    std::uint64_t deletes = 0;
+    std::uint64_t feedbacks = 0;
+  };
 
-  /// Enqueues many operations under one buffer-lock round; drains once if
-  /// the buffer reaches the batch size. Thread-safe.
+  /// Enqueues one operation and counts it (unless `counted` is false: a
+  /// feedback op broadcast to every shard of a key is counted by one);
+  /// drains the buffer into the histogram when it reaches the batch
+  /// size. Thread-safe.
+  void Push(const UpdateOp& op, bool counted = true);
+
+  /// Enqueues and counts many operations under one buffer-lock round;
+  /// drains once if the buffer reaches the batch size. Thread-safe.
   void PushMany(const std::vector<UpdateOp>& ops);
 
   /// Drains any buffered operations into the histogram. Thread-safe.
@@ -79,6 +94,11 @@ class EngineShard {
   /// Operations sitting in the front buffer, not yet applied to the
   /// histogram. Thread-safe (takes the buffer lock); diagnostic.
   std::size_t BufferedOps() const;
+
+  /// Operations accepted so far. Thread-safe: read under the buffer
+  /// lock, so a count carries the pushes it counts (the engine's
+  /// EngineStats acquire contract).
+  AcceptCounts Accepted() const;
 
  private:
   // The one drain. Called with the buffer lock held: swaps the buffer
@@ -101,11 +121,15 @@ class EngineShard {
   void CoalesceAndApply(const std::vector<UpdateOp>& batch, std::size_t begin,
                         std::size_t end);
 
+  // Counts `op` as accepted. Called with the buffer lock held.
+  void CountLocked(const UpdateOp& op);
+
   const int batch_size_;
   const ShardTelemetry telemetry_;
 
   mutable std::mutex buffer_mu_;
   std::vector<UpdateOp> buffer_;  // guarded by buffer_mu_
+  AcceptCounts accepted_;         // guarded by buffer_mu_
 
   std::mutex hist_mu_;
   std::unique_ptr<Histogram> histogram_;   // guarded by hist_mu_

@@ -338,6 +338,115 @@ TEST(EngineTelemetryTest, PerKeyStatsSumToGlobalUnderConcurrency) {
   EXPECT_GT(global.publishes, 0u);
 }
 
+// The value of `name{key="<key>"}` in exposition `text`, or -1 when the
+// sample is absent.
+double KeyMetricValue(const std::string& text, const std::string& name,
+                      const std::string& key) {
+  return MetricValue(text, name + "{key=\"" + key + "\"}");
+}
+
+// Accept counts live in the shards (counted under the buffer lock that
+// accepts each op) and are summed per key at read time: with writers
+// racing on every entry point, every read-out must equal what the writers sent.
+TEST(EngineTelemetryTest, AcceptCountsAreExactUnderConcurrentWriters) {
+  EngineOptions options;
+  options.shards = 4;
+  options.batch_size = 8;
+  options.snapshot_every = 128;
+  options.async_publish = true;
+  options.merge_workers = 1;
+  HistogramEngine engine(options);
+
+  constexpr int kWriters = 4;
+  constexpr int kKeys = 3;
+  constexpr int kRounds = 2'000;
+  const std::string keys[kKeys] = {"acc.a", "acc.b", "acc.c"};
+  struct Tally {
+    std::uint64_t inserts = 0;
+    std::uint64_t deletes = 0;
+    std::uint64_t feedbacks = 0;
+  };
+  std::vector<std::vector<Tally>> sent(kWriters, std::vector<Tally>(kKeys));
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(static_cast<std::uint64_t>(w) + 11);
+      for (int i = 0; i < kRounds; ++i) {
+        const int k = static_cast<int>(rng.UniformInt(0, kKeys - 1));
+        Tally& mine = sent[w][k];
+        const auto v = static_cast<std::int64_t>(rng.UniformInt(0, 999));
+        switch (i % 4) {
+          case 0:
+            engine.Insert(keys[k], v);
+            ++mine.inserts;
+            break;
+          case 1:  // delete what this writer just inserted
+            engine.Insert(keys[k], v);
+            engine.Delete(keys[k], v);
+            ++mine.inserts;
+            ++mine.deletes;
+            break;
+          case 2:
+            engine.InsertBatch(keys[k], {v, v + 1, v + 2});
+            mine.inserts += 3;
+            break;
+          default:
+            engine.RecordFeedback(keys[k], v, v + 50, 7.0);
+            ++mine.feedbacks;
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  engine.DrainPublishes();
+
+  Tally total;
+  const std::string text = Prometheus(engine);
+  for (int k = 0; k < kKeys; ++k) {
+    Tally want;
+    for (int w = 0; w < kWriters; ++w) {
+      want.inserts += sent[w][k].inserts;
+      want.deletes += sent[w][k].deletes;
+      want.feedbacks += sent[w][k].feedbacks;
+    }
+    const EngineStats stats = engine.Stats(keys[k]);
+    EXPECT_EQ(stats.inserts, want.inserts) << keys[k];
+    EXPECT_EQ(stats.deletes, want.deletes) << keys[k];
+    EXPECT_EQ(stats.feedbacks, want.feedbacks) << keys[k];
+    EXPECT_EQ(KeyMetricValue(text, "dynhist_key_inserts_total", keys[k]),
+              static_cast<double>(want.inserts));
+    EXPECT_EQ(KeyMetricValue(text, "dynhist_key_deletes_total", keys[k]),
+              static_cast<double>(want.deletes));
+    EXPECT_EQ(KeyMetricValue(text, "dynhist_key_feedbacks_total", keys[k]),
+              static_cast<double>(want.feedbacks));
+    total.inserts += want.inserts;
+    total.deletes += want.deletes;
+    total.feedbacks += want.feedbacks;
+  }
+  const EngineStats global = engine.Stats();
+  EXPECT_EQ(global.inserts, total.inserts);
+  EXPECT_EQ(global.deletes, total.deletes);
+  EXPECT_EQ(global.feedbacks, total.feedbacks);
+  const std::string json = global.ToJson();
+  for (const auto& [field, value] :
+       {std::pair<const char*, std::uint64_t>{"inserts", total.inserts},
+        {"deletes", total.deletes},
+        {"feedbacks", total.feedbacks}}) {
+    EXPECT_NE(json.find("\"" + std::string(field) +
+                        "\":" + std::to_string(value) + ","),
+              std::string::npos)
+        << field << " in " << json;
+  }
+  EXPECT_EQ(MetricValue(text, "dynhist_engine_inserts_total"),
+            static_cast<double>(total.inserts));
+  EXPECT_EQ(MetricValue(text, "dynhist_engine_deletes_total"),
+            static_cast<double>(total.deletes));
+  EXPECT_EQ(MetricValue(text, "dynhist_engine_feedbacks_total"),
+            static_cast<double>(total.feedbacks));
+  EXPECT_GT(total.feedbacks, 0u);
+}
+
 TEST(EngineTelemetryTest, QueueWaitIsAccountedOnDrain) {
   EngineOptions options = ManualOptions();
   options.snapshot_every = 16;
