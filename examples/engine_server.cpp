@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
         const std::int64_t hi =
             std::min<std::int64_t>(kDomain - 1, lo + 250);
         // The estimate read goes through the resolved handle: the
-        // thread's lease cache revalidates with one relaxed load and the
+        // thread's lease revalidates with one relaxed load and the
         // published CompiledSnapshot arena answers (two branch-free
         // lower_bound lookups) — no registry find, and a shared_ptr
         // acquire only when a publish landed since this thread's last
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
   std::printf("\nstats[%s]:  %s\n", kKey, hot_stats.ToJson().c_str());
   std::printf("stats[%s]: %s\n", kColdKey,
               engine.Stats(cold_handle).ToJson().c_str());
-  std::printf("lease cache: %llu hits, %llu misses (%.4f%% of reads "
+  std::printf("leases: %llu hits, %llu misses (%.4f%% of reads "
               "touched the shared_ptr)\n",
               static_cast<unsigned long long>(hot_stats.lease_hits),
               static_cast<unsigned long long>(hot_stats.lease_misses),

@@ -9,7 +9,6 @@
 
 #include "src/common/check.h"
 #include "src/distributed/global_histogram.h"
-#include "src/engine/snapshot_lease.h"
 
 namespace dynhist::engine {
 namespace {
@@ -17,36 +16,91 @@ namespace {
 // Trace ring capacity: the last ~1365 publications' flush/merge/publish.
 constexpr std::size_t kTraceEvents = 4096;
 
-// Engine instance ids for the lease slot and key cache identity (see
-// snapshot_lease.h). Never 0, so an empty key cache slot matches nothing.
+// Engine instance ids for the reader table's slot identity. Never 0, so
+// an empty slot matches nothing.
 std::uint64_t NextEngineId() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-// The thread-local key cache in front of the registry: a direct-mapped
-// table of resolved keys, indexed by the registry's string hash. A hit
-// (same engine, same name) resolves a string key with no lock and no
-// read-modify-write; a miss takes the registry's shared lock and refills
-// the slot. It is safe for the lease cache's reasons: a KeyState is never
+// The thread-local reader table: a direct-mapped table indexed by the
+// key-name hash, serving both string resolution (FindKey) and handle
+// leases (AcquireLease). A slot is an identity {engine id, KeyState*}
+// plus, optionally, a leased snapshot of that key.
+//
+// The identity is safe to reuse without a lock: a KeyState is never
 // erased while its engine lives, and an engine id is never reused, so a
 // slot whose engine id matches the calling engine points at a live
 // KeyState, and a slot left behind by a destroyed engine matches no
-// engine again. A slot holds no snapshot, so the cache pins no epoch and
-// never evicts a handle reader's lease.
+// engine again. A leased snapshot is a shared_ptr the slot owns, so it
+// stays valid whatever the engine does.
+//
+// A string lookup hits when the engine id matches and then the state's
+// name equals the key; a miss takes the registry's shared lock, writes
+// the new identity and drops the slot's lease (snapshot == nullptr means
+// identity, no lease). A handle lease hits when the identity matches and
+// the key's epoch (one relaxed load) equals the leased snapshot's epoch;
+// otherwise it acquire-loads `published` and refills the slot. The
+// relaxed load is enough: the leased pointer was acquire-loaded when the
+// slot was filled, and the load only decides whether it is still
+// current. A publication stores the epoch after the pointer swap (see
+// KeyState), so a lease is never ahead of `published`, and per thread
+// the leased epochs of a key are monotone.
 //
 // Sized on perfbench `read_mostly`'s 512 keys under Zipf(1.0)
-// popularity: 512 slots (8 KB per thread) hit 83.8% of lookups, against
-// 73.8% for 256 and 90.6% for 1024. Every thread that starts carries the
-// table, so the 16 KB of 1024 slots showed as about +7% in `ingest`'s
-// resident-memory growth, which 512 halves.
-struct KeyCacheSlot {
+// popularity: 512 slots hit 83.8% of string lookups, against 73.8% for
+// 256 and 90.6% for 1024, and a handle reader over such keys, every key
+// republished between passes of 65,536 reads, hits 0.82 of its leases
+// (micro_engine_throughput's many-key lease row). A slot is 32 B, so the
+// table is 16 KB per thread, resident in every thread the process
+// starts; a thread pins at most 512 leased epochs.
+struct ReaderSlot {
   std::uint64_t engine_id = 0;
   internal::KeyState* state = nullptr;
+  std::shared_ptr<const VersionedModel> snapshot;
 };
 
-constexpr std::size_t kKeyCacheSlots = 512;  // a power of two
-thread_local std::array<KeyCacheSlot, kKeyCacheSlots> t_key_cache;
+constexpr std::size_t kReaderSlots = 512;  // a power of two
+thread_local std::array<ReaderSlot, kReaderSlots> t_reader_table;
+
+ReaderSlot& ReaderSlotFor(std::size_t name_hash) {
+  return t_reader_table[name_hash & (kReaderSlots - 1)];
+}
+
+// One handle-path lease. `snapshot` points into the calling thread's
+// slot: it is stable only until that thread's next reader-table access,
+// so use it at once or copy the shared_ptr out.
+struct LeaseView {
+  const std::shared_ptr<const VersionedModel>* snapshot;
+  bool hit;  // true: the slot's pointer was reused, no refcount op
+
+  const VersionedModel& model() const { return **snapshot; }
+};
+
+// Relaxed running max: records the newest epoch any reader leased, which
+// drives the per-key lease-staleness gauge. Diagnostic — losing a race
+// only under-reports the max by one revalidation.
+void NoteLeasedEpoch(internal::KeyState& state, std::uint64_t epoch) {
+  std::uint64_t prev = state.last_leased_epoch.load(std::memory_order_relaxed);
+  while (prev < epoch && !state.last_leased_epoch.compare_exchange_weak(
+                             prev, epoch, std::memory_order_relaxed,
+                             std::memory_order_relaxed)) {
+  }
+}
+
+LeaseView AcquireLease(internal::KeyState& state, std::uint64_t engine_id) {
+  ReaderSlot& slot = ReaderSlotFor(state.name_hash);
+  if (slot.engine_id == engine_id && slot.state == &state &&
+      slot.snapshot != nullptr &&
+      state.epoch.load(std::memory_order_relaxed) == slot.snapshot->epoch) {
+    return LeaseView{&slot.snapshot, /*hit=*/true};
+  }
+  slot.engine_id = engine_id;
+  slot.state = &state;
+  slot.snapshot = state.published.load(std::memory_order_acquire);
+  NoteLeasedEpoch(state, slot.snapshot->epoch);
+  return LeaseView{&slot.snapshot, /*hit=*/false};
+}
 
 // splitmix64 finalizer: scatters adjacent attribute values across shards
 // (std::hash on integers is the identity on libstdc++, which would map
@@ -122,7 +176,7 @@ constexpr CounterRow kCounterTable[] = {
      nullptr, false, kCounter, "dynhist_snapshot_lease_misses_total",
      "dynhist_key_snapshot_lease_misses_total",
      "Handle-path lease revalidations that re-acquired the published "
-     "snapshot (version moved, cold slot, or evicted)"},
+     "snapshot (epoch moved, or the slot held no lease for the key)"},
     {"publishes", &EngineStats::publishes, &KeyCounters::publishes, nullptr,
      false, kCounter, "dynhist_engine_publishes_total",
      "dynhist_key_publishes_total", "Snapshot publications"},
@@ -255,6 +309,7 @@ internal::KeyState::KeyState(std::string key_name,
                              const EngineOptions& options,
                              const ShardTelemetry& shard_telemetry)
     : name(std::move(key_name)),
+      name_hash(internal::KeyNameHash{}(name)),
       kind(options.kind),
       snapshot_every(options.snapshot_every),
       merged_buckets(options.merged_buckets),
@@ -295,7 +350,7 @@ HistogramEngine::~HistogramEngine() {
 
 HistogramEngine::KeyState* HistogramEngine::FindKey(
     std::string_view key) const {
-  KeyCacheSlot& slot = t_key_cache[StringHash{}(key) & (kKeyCacheSlots - 1)];
+  ReaderSlot& slot = ReaderSlotFor(internal::KeyNameHash{}(key));
   // The engine id is checked first: only then is slot.state known to be
   // live.
   if (slot.engine_id == engine_id_ && slot.state->name == key) {
@@ -308,7 +363,7 @@ HistogramEngine::KeyState* HistogramEngine::FindKey(
     if (it == registry_.end()) return nullptr;  // unknown keys stay uncached
     state = it->second.get();
   }
-  slot = {engine_id_, state};
+  slot = {engine_id_, state, nullptr};
   return state;
 }
 
@@ -401,11 +456,8 @@ void HistogramEngine::RecordFeedback(const KeyHandle& handle, std::int64_t lo,
   // would have consulted for this predicate (a never-published key reads
   // as the empty view, estimate 0 — exactly what a caller saw).
   if (telemetry_on_) {
-    double estimate = 0.0;
-    if (const std::shared_ptr<const VersionedModel> published =
-            state.published.load(std::memory_order_acquire)) {
-      estimate = published->compiled.EstimateRange(lo, hi);
-    }
+    const double estimate = state.published.load(std::memory_order_acquire)
+                                ->compiled.EstimateRange(lo, hi);
     state.feedback_error.Record(static_cast<std::uint64_t>(
         std::llround(std::fabs(estimate - actual))));
   }
@@ -451,10 +503,7 @@ EngineSnapshot HistogramEngine::Snapshot(std::string_view key) const {
     return EngineSnapshot();
   }
   state->counters.queries.fetch_add(1, std::memory_order_release);
-  std::shared_ptr<const VersionedModel> published =
-      state->published.load(std::memory_order_acquire);
-  if (published == nullptr) return EngineSnapshot();
-  return EngineSnapshot(std::move(published));
+  return EngineSnapshot(state->published.load(std::memory_order_acquire));
 }
 
 EngineSnapshot HistogramEngine::RefreshSnapshot(std::string_view key) {
@@ -488,9 +537,8 @@ EngineSnapshot HistogramEngine::PublishExternal(std::string_view key,
 
 double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
                                       std::int64_t hi) const {
-  // Thin wrapper: the one transparent registry find, then the shared
-  // estimate body on a per-call shared_ptr acquisition (no lease — see
-  // the header on why transient string lookups stay off the TLS cache).
+  // Thin wrapper: one key resolution, then the shared estimate body on a
+  // per-call shared_ptr acquisition (no lease).
   KeyState* state = FindKey(key);
   if (state == nullptr) {
     unknown_queries_.fetch_add(1, std::memory_order_release);
@@ -498,7 +546,7 @@ double HistogramEngine::EstimateRange(std::string_view key, std::int64_t lo,
   }
   const std::shared_ptr<const VersionedModel> published =
       state->published.load(std::memory_order_acquire);
-  return EstimateOnState(*state, published.get(), lo, hi);
+  return EstimateOnState(*state, *published, lo, hi);
 }
 
 double HistogramEngine::EstimateEquals(std::string_view key,
@@ -507,10 +555,10 @@ double HistogramEngine::EstimateEquals(std::string_view key,
 }
 
 double HistogramEngine::EstimateOnState(KeyState& state,
-                                        const VersionedModel* vm,
+                                        const VersionedModel& vm,
                                         std::int64_t lo,
                                         std::int64_t hi) const {
-  if (vm == nullptr) {
+  if (vm.epoch == 0) {
     // Unified fallback: a key with no published snapshot answers exactly
     // like an unknown key — the implicit empty epoch-0 view, counted in
     // unknown_queries (not as a served per-key query).
@@ -524,7 +572,7 @@ double HistogramEngine::EstimateOnState(KeyState& state,
   // first query is always sampled and the series is never empty.
   const bool sample = telemetry_on_ && (qn & 1023u) == 0u;
   const std::uint64_t t0 = sample ? trace_.NowNs() : 0;
-  const double result = vm->compiled.EstimateRange(lo, hi);
+  const double result = vm.compiled.EstimateRange(lo, hi);
   if (sample) query_latency_hist_.Record(trace_.NowNs() - t0);
   return result;
 }
@@ -548,8 +596,7 @@ double HistogramEngine::EstimateRange(const KeyHandle& handle,
                                       std::int64_t hi) const {
   DH_CHECK(handle.valid());
   KeyState& state = *handle.state_;
-  const internal::LeaseView lease =
-      internal::AcquireLease(state, engine_id_);
+  const LeaseView lease = AcquireLease(state, engine_id_);
   CountLease(state, lease.hit);
   return EstimateOnState(state, lease.model(), lo, hi);
 }
@@ -566,24 +613,19 @@ void HistogramEngine::EstimateRangeBatch(const KeyHandle& handle,
   if (count == 0) return;
   DH_CHECK(handle.valid());
   KeyState& state = *handle.state_;
-  const internal::LeaseView lease =
-      internal::AcquireLease(state, engine_id_);
+  const LeaseView lease = AcquireLease(state, engine_id_);
   CountLease(state, lease.hit);
-  const VersionedModel* vm = lease.model();
-  if (vm == nullptr) {
-    // Unified no-snapshot fallback, batch form: every query in the span
-    // is an unknown-query answer of 0.0 (see EstimateOnState).
-    unknown_queries_.fetch_add(count, std::memory_order_release);
-    std::fill(results, results + count, 0.0);
-    return;
-  }
-  // One counter settle for the span; the loop body is the raw arena
-  // lookup — per-query cost converges to the arena's as the batch grows.
+  const VersionedModel& vm = lease.model();
+  // One counter settle for the span (the epoch-0 view counts as unknown
+  // queries, see EstimateOnState); the loop body is the raw arena lookup
+  // — per-query cost converges to the arena's as the batch grows.
   // Answers are bit-identical to the scalar path: same expressions, same
   // snapshot.
-  state.counters.queries.fetch_add(count, std::memory_order_release);
+  std::atomic<std::uint64_t>& served =
+      vm.epoch == 0 ? unknown_queries_ : state.counters.queries;
+  served.fetch_add(count, std::memory_order_release);
   for (std::size_t i = 0; i < count; ++i) {
-    results[i] = vm->compiled.EstimateRange(queries[i].lo, queries[i].hi);
+    results[i] = vm.compiled.EstimateRange(queries[i].lo, queries[i].hi);
   }
 }
 
@@ -599,11 +641,9 @@ EngineSnapshot HistogramEngine::LeasedSnapshot(
     const KeyHandle& handle) const {
   DH_CHECK(handle.valid());
   KeyState& state = *handle.state_;
-  const internal::LeaseView lease =
-      internal::AcquireLease(state, engine_id_);
+  const LeaseView lease = AcquireLease(state, engine_id_);
   CountLease(state, lease.hit);
   state.counters.queries.fetch_add(1, std::memory_order_release);
-  if (lease.model() == nullptr) return EngineSnapshot();
   return EngineSnapshot(*lease.snapshot);  // the one handoff refcount op
 }
 
@@ -711,8 +751,8 @@ telemetry::MetricsSnapshot HistogramEngine::CollectMetrics() const {
         "Publications not yet observed by any reader lease (0 while the "
         "reader fleet is current)",
         kGauge,
-        gap(state->version.load(std::memory_order_relaxed),
-            state->last_leased_version.load(std::memory_order_relaxed)));
+        gap(state->epoch.load(std::memory_order_relaxed),
+            state->last_leased_epoch.load(std::memory_order_relaxed)));
     add("dynhist_key_staleness_updates",
         "Accepted updates not yet covered by the published snapshot", kGauge,
         gap(state->update_count.load(std::memory_order_relaxed),
@@ -1049,15 +1089,15 @@ EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
   // microseconds against the ~120 us merge — so the publish-latency
   // envelope is unchanged.
   const std::uint64_t epoch =
-      state.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+      state.epoch.load(std::memory_order_relaxed) + 1;
   auto versioned =
       std::make_shared<const VersionedModel>(model, epoch, watermark);
   state.published.store(versioned, std::memory_order_release);
-  // Lease validation stamp, bumped strictly AFTER the pointer swap: a
-  // reader that acquire-loads the new version is guaranteed to observe
-  // (at least) this publication in `published` — the invariant the
-  // thread-local lease cache's hit path rests on (snapshot_lease.h).
-  state.version.fetch_add(1, std::memory_order_release);
+  // The epoch is stored strictly AFTER the pointer swap: a reader that
+  // acquire-loads epoch e then sees (at least) this publication in
+  // `published` — what the reader table's lease hit path and
+  // KeyHandle::epoch() rest on.
+  state.epoch.store(epoch, std::memory_order_release);
   if (stages != nullptr) {
     state.published_at.store(watermark, std::memory_order_relaxed);
   }
@@ -1084,6 +1124,10 @@ EngineSnapshot HistogramEngine::PublishTail(KeyState& state,
     }
   }
   return EngineSnapshot(std::move(versioned));
+}
+
+void internal::ReleaseThreadLeases() {
+  for (ReaderSlot& slot : t_reader_table) slot = ReaderSlot{};
 }
 
 }  // namespace dynhist::engine

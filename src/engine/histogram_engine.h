@@ -116,13 +116,14 @@ struct EngineStats {
   /// only (an unknown key has no per-key counters to charge).
   std::uint64_t unknown_queries = 0;
 
-  // Epoch-pinned reader fast path (KeyHandle + thread-local lease
-  // cache; see snapshot_lease.h). Every handle-path revalidation is
+  // Epoch-pinned reader fast path (KeyHandle + the thread-local reader
+  // table; see ReleaseThreadLeases). Every handle-path revalidation is
   // either a hit (cached snapshot reused — zero refcount traffic) or a
-  // miss (shared_ptr re-acquired because the key's version moved, the
-  // slot was cold, or it had been evicted). In steady state misses
-  // track publications observed, not queries — the acceptance probe
-  // that the hot path really performs no shared_ptr operations.
+  // miss (shared_ptr re-acquired because the key's epoch moved, the
+  // slot held no lease, or another key had taken the slot). In steady
+  // state misses track publications observed, not queries — the
+  // acceptance probe that the hot path really performs no shared_ptr
+  // operations.
   std::uint64_t lease_hits = 0;    ///< revalidations served from the lease
   std::uint64_t lease_misses = 0;  ///< revalidations that re-acquired
 
@@ -207,7 +208,7 @@ class HistogramEngine {
   void FlushAll();
 
   /// The last published snapshot for `key`. Lock-free on the hot path: a
-  /// thread-local key cache hit plus one atomic shared_ptr load; never
+  /// thread-local reader table hit plus one atomic shared_ptr load; never
   /// touches shard locks. An unknown or never-published key yields the
   /// empty epoch-0 snapshot.
   EngineSnapshot Snapshot(std::string_view key) const;
@@ -227,7 +228,7 @@ class HistogramEngine {
   /// Publishes `model` as `key`'s next epoch, creating the key if
   /// needed — the distributed tier's entry point: the aggregator's
   /// merged global view enters the normal publish tail (arena compile,
-  /// epoch bump, atomic swap, lease invalidation), so readers ride the
+  /// atomic swap, epoch store, lease invalidation), so readers ride the
   /// compiled-snapshot + KeyHandle fast path with no idea the model
   /// came off the wire. The snapshot keeps the model's pieces exactly
   /// (same estimates) but not its bucket grouping: model() reads it
@@ -290,14 +291,12 @@ class HistogramEngine {
   /// Lock-free and allocation-free.
   ///
   /// These string-keyed reads are thin wrappers: one key resolution (a
-  /// thread-local key cache hit, or a registry find under the shared lock
-  /// on a miss), then the same estimate body the handle overloads run.
-  /// They re-acquire the published shared_ptr per call — the pre-handle
-  /// cost model — and deliberately skip the thread-local lease cache so
-  /// transient lookups never evict the slots long-lived handle readers
-  /// depend on (the key cache holds KeyState pointers only, never a
-  /// snapshot, so it pins no epoch). Hot readers should Resolve() once
-  /// and query through the KeyHandle overloads below.
+  /// thread-local reader table hit, or a registry find under the shared
+  /// lock on a miss), then the same estimate body the handle overloads
+  /// run. They re-acquire the published shared_ptr per call — the
+  /// pre-handle cost model — and never lease a snapshot. Hot readers
+  /// should Resolve() once and query through the KeyHandle overloads
+  /// below.
   double EstimateRange(std::string_view key, std::int64_t lo,
                        std::int64_t hi) const;
   double EstimateEquals(std::string_view key, std::int64_t v) const;
@@ -317,12 +316,12 @@ class HistogramEngine {
   /// registry, such as a server answering queries from the network.
   KeyHandle Find(std::string_view key) const;
 
-  /// Estimates through a resolved handle: one relaxed version load
+  /// Estimates through a resolved handle: one relaxed epoch load
   /// revalidates this thread's snapshot lease, then the arena lookup —
   /// no registry lock and, on the steady-state hit path, no shared_ptr
-  /// refcount traffic (the lease re-acquires only when the key's
-  /// version moved; see snapshot_lease.h for the ordering contract).
-  /// Bit-identical to the string-keyed reads.
+  /// refcount traffic (the lease re-acquires only when the key's epoch
+  /// moved or its slot lost the lease; see KeyState::epoch for the
+  /// ordering contract). Bit-identical to the string-keyed reads.
   double EstimateRange(const KeyHandle& handle, std::int64_t lo,
                        std::int64_t hi) const;
   double EstimateEquals(const KeyHandle& handle, std::int64_t v) const;
@@ -379,17 +378,18 @@ class HistogramEngine {
 
  private:
   // Per-key state is hoisted to key_state.h (namespace internal) so
-  // KeyHandle and the thread-local snapshot lease cache can name it; the
-  // alias keeps this class's vocabulary unchanged.
+  // KeyHandle and the thread-local reader table can name it; the alias
+  // keeps this class's vocabulary unchanged.
   using KeyState = internal::KeyState;
 
-  // Resolves a string key: the calling thread's key cache first (no lock,
-  // no read-modify-write on a hit), else the registry under the shared
-  // lock, which refills the cache slot. FindKey returns nullptr for an
-  // unknown key (never cached); FindOrCreateKey creates it, and its
-  // `backend` overrides the shard histogram kind if (and only if) this
-  // call creates the key — the KeyOptionOverrides::backend selector.
-  // Every string-keyed entry point resolves through one of these.
+  // Resolves a string key: the calling thread's reader table first (no
+  // lock, no read-modify-write on a hit), else the registry under the
+  // shared lock, which writes the key's identity into the slot and drops
+  // the slot's lease. FindKey returns nullptr for an unknown key (never
+  // cached); FindOrCreateKey creates it, and its `backend` overrides the
+  // shard histogram kind if (and only if) this call creates the key —
+  // the KeyOptionOverrides::backend selector. Every string-keyed entry
+  // point resolves through one of these.
   KeyState* FindKey(std::string_view key) const;
   KeyState* FindOrCreateKey(std::string_view key);
   KeyState* FindOrCreateKey(std::string_view key,
@@ -415,13 +415,13 @@ class HistogramEngine {
 
   // The estimate tail the scalar entry points (string, handle) funnel
   // into: counts the query against `state`, unifies the no-snapshot
-  // fallback (vm == nullptr counts in unknown_queries_, exactly like an
-  // unknown key), reads the arena, and latency-samples every 1024th
+  // fallback (the epoch-0 view counts in unknown_queries_, exactly like
+  // an unknown key), reads the arena, and latency-samples every 1024th
   // query of a key into query_latency_hist_ (the other 1023 pay no
   // clock read). `vm` is whatever the caller's acquisition strategy
   // produced — a freshly acquired shared_ptr (string path) or the
   // thread's lease (handle path).
-  double EstimateOnState(KeyState& state, const VersionedModel* vm,
+  double EstimateOnState(KeyState& state, const VersionedModel& vm,
                          std::int64_t lo, std::int64_t hi) const;
 
   // Settles the lease hit/miss counters for one revalidation of `state`.
@@ -467,8 +467,8 @@ class HistogramEngine {
   };
 
   // The publish tail Publish and PublishExternal share, run under the
-  // key's publish_mu: epoch bump, VersionedModel (arena compile), swap,
-  // version bump, publish counters, latency, and trace. `stages` is null
+  // key's publish_mu: VersionedModel (arena compile) at epoch + 1, swap,
+  // epoch store, publish counters, latency, and trace. `stages` is null
   // for an external model, which leaves published_at (the ingest
   // watermark) alone and traces the publish event only.
   EngineSnapshot PublishTail(KeyState& state, const HistogramModel& model,
@@ -487,10 +487,9 @@ class HistogramEngine {
   // True when this engine records distributions/traces/queue-wait; the
   // EngineStats counters are maintained regardless.
   const bool telemetry_on_;
-  // Process-unique engine instance id, part of the identity of a lease
-  // slot and of a key cache slot: a KeyState address reused by a later
-  // engine never matches an earlier engine's thread-local entries (see
-  // snapshot_lease.h).
+  // Process-unique engine instance id, part of the identity of a reader
+  // table slot: a KeyState address reused by a later engine never
+  // matches an earlier engine's thread-local entries.
   const std::uint64_t engine_id_;
 
   // Telemetry instruments. Declared before the key registry so key
@@ -516,17 +515,10 @@ class HistogramEngine {
 
   // Heterogeneous (string_view) lookup keeps FindKey's registry find
   // free of temporary std::string construction — the read path's only
-  // remaining allocation risk for keys beyond the SSO limit. The key
-  // cache indexes its slots by the same hash.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  // remaining allocation risk for keys beyond the SSO limit.
   mutable std::shared_mutex registry_mu_;
-  std::unordered_map<std::string, std::unique_ptr<KeyState>, StringHash,
-                     std::equal_to<>>
+  std::unordered_map<std::string, std::unique_ptr<KeyState>,
+                     internal::KeyNameHash, std::equal_to<>>
       registry_;
 
   // Reads the engine had no snapshot to answer from: estimates against
@@ -553,6 +545,19 @@ class HistogramEngine {
   // synchronous publication. Read outside queue_mu_ on the writer path.
   std::atomic<bool> workers_stopped_{false};
 };
+
+namespace internal {
+
+/// Clears the calling thread's reader table, for every engine: the
+/// thread-local, direct-mapped table of 512 slots (indexed by key-name
+/// hash) that resolves string keys without the registry lock and holds
+/// the handle path's snapshot leases. A slot holds at most one leased
+/// snapshot, so a thread pins at most 512 epochs until it clears the
+/// table or exits. A test seam, and a release valve for a reader that
+/// wants to return its pinned epochs before going idle.
+void ReleaseThreadLeases();
+
+}  // namespace internal
 
 }  // namespace dynhist::engine
 

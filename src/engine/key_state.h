@@ -1,15 +1,15 @@
 // Per-key engine state, hoisted to namespace scope so the reader fast
 // path can name it: a KeyHandle (key_handle.h) is a stable pointer to one
-// KeyState, the thread-local snapshot lease cache (snapshot_lease.h)
-// validates its cached epoch against KeyState::version, and the engine's
-// thread-local key cache maps string keys to KeyState pointers.
+// KeyState, and the engine's thread-local reader table (see
+// ReleaseThreadLeases in histogram_engine.h) maps key names to KeyState
+// pointers and validates its leased snapshots against KeyState::epoch.
 // Everything here is owned and orchestrated by HistogramEngine — the
 // struct is an implementation detail published only through the internal
 // namespace.
 // A key registers no metrics: the engine's collector reads these atomics
 // (and the feedback-error histogram) at scrape time.
 //
-// Lifetime contract (what makes KeyHandle and the key cache safe):
+// Lifetime contract (what makes KeyHandle and the reader table safe):
 // KeyStates live in a registry that never erases, each behind a
 // unique_ptr, so a KeyState's address is stable from creation to engine
 // destruction. A handle is therefore valid exactly as long as its engine.
@@ -18,10 +18,13 @@
 #define DYNHIST_ENGINE_KEY_STATE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/engine_options.h"
@@ -30,6 +33,16 @@
 #include "src/telemetry/log_histogram.h"
 
 namespace dynhist::engine::internal {
+
+/// The registry's key-name hash. Transparent, so a string_view lookup
+/// builds no temporary std::string; the reader table indexes its slots
+/// by the same hash (KeyState::name_hash).
+struct KeyNameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// One key's share of the EngineStats counters that the key itself keeps
 /// (see the EngineStats ordering contract in histogram_engine.h). The
@@ -60,6 +73,10 @@ struct KeyState {
   /// reference its storage, and the collector labels the key's series
   /// with it.
   const std::string name;
+
+  /// KeyNameHash of `name`, computed once: the reader table slot a
+  /// handle's lease lives in.
+  const std::size_t name_hash;
 
   /// The shard histogram kind this key was created with (the global
   /// EngineOptions::kind, or the KeyOptionOverrides::backend override at
@@ -108,24 +125,24 @@ struct KeyState {
   std::atomic<bool> publish_pending{false};
   std::atomic<std::uint64_t> requested_at{0};
 
+  // The published snapshot and its epoch. `published` starts at the
+  // shared epoch-0 view (EmptyVersionedModel) and is never null. A
+  // publication (under publish_mu) swaps the pointer and only then stores
+  // the new epoch with release, so `epoch` never runs ahead of the
+  // snapshot a reader can load: an acquire load of epoch e followed by a
+  // load of `published` yields a snapshot of epoch >= e. The reader
+  // table's leases use `epoch` as their validation stamp (a relaxed load
+  // equal to the leased snapshot's epoch is a hit).
   std::mutex publish_mu;  // serializes merges of this key
   std::atomic<std::uint64_t> epoch{0};
-  std::atomic<std::shared_ptr<const VersionedModel>> published;
+  std::atomic<std::shared_ptr<const VersionedModel>> published{
+      EmptyVersionedModel()};
 
-  // Lease validation stamp: bumped (release) AFTER `published` is
-  // swapped, so a reader that observes the new version and then
-  // acquire-loads `published` is guaranteed at least that version's
-  // snapshot. Distinct from `epoch`, which is bumped BEFORE the swap
-  // (it is baked into the VersionedModel) and therefore cannot serve
-  // as a was-the-swap-visible stamp. See snapshot_lease.h for the
-  // full reader-side ordering contract.
-  std::atomic<std::uint64_t> version{0};
-
-  // Newest `version` any reader has leased (relaxed max, diagnostic):
-  // `version - last_leased_version` is the per-key lease-staleness
-  // gauge — 0 while the reader fleet is current, >0 between a publish
-  // and the first revalidation that observes it.
-  std::atomic<std::uint64_t> last_leased_version{0};
+  // Newest epoch any reader has leased (relaxed max, diagnostic):
+  // `epoch - last_leased_epoch` is the per-key lease-staleness gauge — 0
+  // while the reader fleet is current, >0 between a publish and the
+  // first revalidation that observes it.
+  std::atomic<std::uint64_t> last_leased_epoch{0};
 };
 
 }  // namespace dynhist::engine::internal

@@ -1,6 +1,7 @@
 // Tests for the epoch-pinned reader fast path: KeyHandle resolution, the
-// thread-local snapshot lease cache (hit/miss accounting, revalidation on
-// publish, LRU eviction), the batch query API, and the unified
+// snapshot leases in the thread-local reader table (hit/miss accounting,
+// revalidation on publish, slots shared by colliding keys, epochs never
+// ahead of the visible snapshot), the batch query API, and the unified
 // unknown/no-snapshot fallback.
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 
 #include "src/common/rng.h"
 #include "src/engine/histogram_engine.h"
-#include "src/engine/snapshot_lease.h"
 #include "src/histogram/compiled_snapshot.h"
 
 namespace dynhist::engine {
@@ -71,8 +71,8 @@ TEST(EngineHandleTest, LeaseMissesCountPublishesObservedNotQueries) {
 }
 
 // A post-publish read on the publishing thread can never be served a
-// pre-publish snapshot: the version stamp is bumped after the pointer
-// swap, so the very next revalidation re-acquires.
+// pre-publish snapshot: the epoch is stored after the pointer swap, so
+// the very next revalidation re-acquires.
 TEST(EngineHandleTest, LeaseRevalidatesImmediatelyOnPublish) {
   internal::ReleaseThreadLeases();
   HistogramEngine engine(TestOptions());
@@ -121,33 +121,48 @@ TEST(EngineHandleTest, HandleSurvivesPublishesAndRefreshAll) {
   EXPECT_EQ(h.epoch(), 10u);
 }
 
-// Round-robin over more keys than the per-thread cache has slots: every
-// access evicts the LRU slot (the classic thrash pattern), so hits stay
-// at zero and every answer is still correct — eviction costs a
-// re-acquire, never correctness, and the cache never grows past its
-// bound.
-TEST(EngineHandleTest, EvictionUnderManyKeysStaysCorrectAndBounded) {
+// Round-robin over 4,096 keys, eight times the reader table's slots, so
+// colliding keys keep taking each other's slot between visits: every
+// handle read still answers from that key's published snapshot, each
+// handle's leased epochs are monotone, and every read is counted as
+// exactly one lease hit or miss.
+TEST(EngineHandleTest, ManyKeysThroughHandlesStayExactAndMonotone) {
   internal::ReleaseThreadLeases();
-  const std::uint64_t evictions_before = internal::ThreadLeaseEvictions();
   HistogramEngine engine(TestOptions());
-  const std::size_t keys = internal::kLeaseSlots + 4;
+  constexpr std::size_t kKeys = 4'096;
   std::vector<KeyHandle> handles;
-  for (std::size_t k = 0; k < keys; ++k) {
-    const std::string name = "key." + std::to_string(k);
-    // Distinct mass per key so a wrong lease would be detected.
-    for (std::size_t i = 0; i <= k; ++i) {
-      engine.Insert(name, static_cast<std::int64_t>(i));
-    }
-    engine.RefreshSnapshot(name);
-    handles.push_back(engine.Resolve(name));
+  std::vector<std::uint64_t> last_epoch(kKeys, 0);
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    handles.push_back(engine.Resolve("key." + std::to_string(k)));
   }
 
-  constexpr int kRounds = 5;
+  constexpr int kRounds = 4;
+  std::uint64_t reads = 0;
   for (int round = 0; round < kRounds; ++round) {
-    for (std::size_t k = 0; k < keys; ++k) {
-      EXPECT_EQ(engine.EstimateRange(handles[k], 0, kDomain),
-                static_cast<double>(k + 1))
+    // A third of the keys gain mass and publish before each round, so
+    // leases go stale while their slots are shared.
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      if ((k + static_cast<std::size_t>(round)) % 3 != 0) continue;
+      const auto value = static_cast<std::int64_t>(k % kDomain);
+      for (std::size_t i = 0; i <= k % 5; ++i) {
+        engine.Insert(handles[k].key(), value);
+      }
+      engine.RefreshSnapshot(handles[k].key());
+    }
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      const EngineSnapshot published = engine.Snapshot(handles[k].key());
+      const auto value = static_cast<std::int64_t>(k % kDomain);
+      ASSERT_EQ(engine.EstimateRange(handles[k], 0, kDomain),
+                published.EstimateRange(0, kDomain))
           << "key " << k << " round " << round;
+      ASSERT_EQ(engine.EstimateEquals(handles[k], value),
+                published.EstimateEquals(value))
+          << "key " << k << " round " << round;
+      const std::uint64_t epoch = engine.LeasedSnapshot(handles[k]).epoch();
+      ASSERT_EQ(epoch, published.epoch()) << "key " << k;
+      ASSERT_GE(epoch, last_epoch[k]) << "key " << k;
+      last_epoch[k] = epoch;
+      reads += 3;
     }
   }
 
@@ -157,14 +172,49 @@ TEST(EngineHandleTest, EvictionUnderManyKeysStaysCorrectAndBounded) {
     total.lease_hits += st.lease_hits;
     total.lease_misses += st.lease_misses;
   }
-  EXPECT_EQ(total.lease_hits, 0u);
-  EXPECT_EQ(total.lease_misses,
-            static_cast<std::uint64_t>(keys) * kRounds);
-  // Cold fills of the first kLeaseSlots slots are not evictions; every
-  // access after the slots filled replaced an LRU victim.
-  EXPECT_EQ(internal::ThreadLeaseEvictions() - evictions_before,
-            static_cast<std::uint64_t>(keys) * kRounds -
-                internal::kLeaseSlots);
+  EXPECT_EQ(total.lease_hits + total.lease_misses, reads);
+  EXPECT_GT(total.lease_misses, 0u);
+}
+
+// A handle's epoch is never ahead of the snapshot a later read can see:
+// the publication stores the epoch only after swapping the pointer. One
+// publisher and several readers; each reader reads h.epoch() first and
+// then requires the leased, the string-keyed and the scalar-estimate
+// views to be at least that new.
+TEST(EngineHandleTest, HandleEpochNeverAheadOfVisibleSnapshot) {
+  HistogramEngine engine(TestOptions());
+  const KeyHandle h = engine.Resolve(kKey);
+  constexpr int kReaders = 3;
+  constexpr int kEpochs = 200;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::uint64_t e = h.epoch();
+        if (engine.LeasedSnapshot(h).epoch() < e) ++violations;
+        if (engine.Snapshot(kKey).epoch() < e) ++violations;
+        // Epoch e holds e * 10 tuples: a read at or after it sees them.
+        if (engine.EstimateRange(h, 0, kDomain) <
+            static_cast<double>(e) * 10.0 - 0.5) {
+          ++violations;
+        }
+      }
+    });
+  }
+
+  for (int e = 0; e < kEpochs; ++e) {
+    for (int i = 0; i < 10; ++i) engine.Insert(kKey, (e * 10 + i) % kDomain);
+    engine.RefreshSnapshot(kKey);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(h.epoch(), static_cast<std::uint64_t>(kEpochs));
 }
 
 // One read path: every engine read is answered by the published arena,
@@ -374,7 +424,7 @@ TEST(EngineHandleTest, LeaseMetricsExposed) {
 // PublishExternal enters the same publish tail as shard-path refreshes,
 // so the whole KeyHandle/lease lifecycle must be indistinguishable: a
 // handle resolved before the key ever had a snapshot observes each
-// external version, each publication bumps the version exactly once
+// external version, each publication advances the epoch exactly once
 // (staleness 0 -> 1 -> 0 around an unread publish), and the
 // revalidation shows up as one lease miss followed by pure hits.
 TEST(EngineHandleTest, ExternalPublicationsDriveLeaseLifecycle) {

@@ -1,10 +1,12 @@
-// Tests for the thread-local key cache in front of the engine's registry:
-// string-keyed calls resolve through a direct-mapped per-thread table of
-// {engine id, KeyState*} slots. These pin that a cached slot never
-// answers for the wrong engine or the wrong key: two live engines with
-// the same key names, an engine rebuilt in the same storage, an unknown
-// key that is created later, more keys than slots, and concurrent
-// creation from several threads (run under TSan in CI).
+// Tests for the thread-local reader table in front of the engine's
+// registry: string-keyed calls resolve through a direct-mapped per-thread
+// table of {engine id, KeyState*, leased snapshot} slots, and handle
+// reads lease their snapshots in the same slots. These pin that a slot
+// never answers for the wrong engine or the wrong key: two live engines
+// with the same key names, an engine rebuilt in the same storage, an
+// unknown key that is created later, more keys than slots, string and
+// handle reads of colliding keys on one thread, and concurrent creation
+// from several threads (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/engine/histogram_engine.h"
+#include "src/engine/key_state.h"
 
 namespace dynhist::engine {
 namespace {
@@ -146,6 +149,64 @@ TEST(EngineKeyCacheTest, ManyKeysCollideInSlotsAndStayExact) {
     total += expected;
   }
   EXPECT_EQ(engine.Stats().inserts, total);
+}
+
+// Keys whose names share one reader-table slot (the table has 512 slots
+// indexed by the low bits of the registry's name hash).
+std::vector<std::string> CollidingKeys(std::size_t count) {
+  constexpr std::size_t kSlotMask = 511;
+  const std::size_t slot = internal::KeyNameHash{}(KeyName(0)) & kSlotMask;
+  std::vector<std::string> keys = {KeyName(0)};
+  for (int i = 1; keys.size() < count; ++i) {
+    if ((internal::KeyNameHash{}(KeyName(i)) & kSlotMask) == slot) {
+      keys.push_back(KeyName(i));
+    }
+  }
+  return keys;
+}
+
+TEST(EngineKeyCacheTest, StringAndHandleReadsShareCollidingSlots) {
+  internal::ReleaseThreadLeases();
+  HistogramEngine engine(SmallOptions());
+  const std::vector<std::string> keys = CollidingKeys(3);
+  std::vector<KeyHandle> handles;
+  for (const std::string& key : keys) handles.push_back(engine.Resolve(key));
+
+  std::uint64_t handle_reads = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Each round one key gains mass (distinct per key) and publishes.
+    const std::size_t grown = static_cast<std::size_t>(round) % keys.size();
+    for (std::size_t i = 0; i <= grown; ++i) engine.Insert(keys[grown], 7);
+    engine.RefreshSnapshot(keys[grown]);
+    for (int pass = 0; pass < 4; ++pass) {
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        // Alternate paths so the slot flips between the keys' identities
+        // and leases: string read of key k, handle read of the next key.
+        const std::size_t next = (k + 1) % keys.size();
+        const EngineSnapshot own = engine.Snapshot(keys[k]);
+        const EngineSnapshot other = engine.Snapshot(keys[next]);
+        EXPECT_EQ(engine.EstimateRange(keys[k], 0, kDomain),
+                  own.EstimateRange(0, kDomain));
+        EXPECT_EQ(engine.EstimateRange(handles[next], 0, kDomain),
+                  other.EstimateRange(0, kDomain));
+        EXPECT_EQ(engine.EstimateEquals(handles[k], 7),
+                  own.EstimateEquals(7));
+        EXPECT_EQ(engine.LeasedSnapshot(handles[next]).epoch(),
+                  other.epoch());
+        handle_reads += 3;
+      }
+    }
+  }
+
+  EngineStats total;
+  for (const KeyHandle& h : handles) {
+    const EngineStats st = engine.Stats(h);
+    total.lease_hits += st.lease_hits;
+    total.lease_misses += st.lease_misses;
+  }
+  // String reads never lease: every lease revalidation is a handle read.
+  EXPECT_EQ(total.lease_hits + total.lease_misses, handle_reads);
+  EXPECT_LE(total.lease_misses, handle_reads);
 }
 
 TEST(EngineKeyCacheTest, ConcurrentCreationAndResolutionAgree) {
