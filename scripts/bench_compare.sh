@@ -3,7 +3,7 @@
 # described by BENCHMARK.json).
 #
 # Usage: scripts/bench_compare.sh REV_A REV_B [--pairs N] [--seconds S]
-#                                 [--seed K] [workload...]
+#                                 [--seed K] [--trace] [workload...]
 #
 # REV_A is the baseline (usually the parent commit) and REV_B the change.
 # A revision is anything `git rev-parse` accepts; `.` is the working tree
@@ -37,6 +37,13 @@
 # passed its checks and no metric is worse, 1 otherwise, 2 on bad usage
 # or a failed export or build.
 #
+# --trace runs the pairs with `--trace 1` instead. Traced runs emit the
+# per-layer metrics and no end-to-end ones, so the end-to-end table is
+# skipped; for every per_layer metric of BENCHMARK.json that every run of
+# both sides emits it prints both medians, the delta, A's IQR and B's
+# pair wins, with no verdict. The per-layer table is report-only: it
+# never changes the exit status (incorrect runs still do).
+#
 # Set TMPDIR to choose where the two exports and builds go; they are
 # removed on exit.
 
@@ -56,12 +63,14 @@ shift 2
 PAIRS=10
 SECONDS_ARG=""
 SEED=1
+TRACE=0
 WORKLOADS=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) PAIRS="${2:?}"; shift 2 ;;
     --seconds) SECONDS_ARG="${2:?}"; shift 2 ;;
     --seed) SEED="${2:?}"; shift 2 ;;
+    --trace) TRACE=1; shift ;;
     --*) usage ;;
     *) WORKLOADS+=("$1"); shift ;;
   esac
@@ -113,28 +122,29 @@ BIN_A="$(build_side A)"
 BIN_B="$(build_side B)"
 
 python3 - "$ROOT/BENCHMARK.json" "$BIN_A" "$BIN_B" "$REV_A" "$REV_B" \
-  "$PAIRS" "$SECONDS_ARG" "$SEED" "$WORK" "${WORKLOADS[@]}" <<'PY'
+  "$PAIRS" "$SECONDS_ARG" "$SEED" "$TRACE" "$WORK" "${WORKLOADS[@]}" <<'PY'
 import json
 import math
 import statistics
 import subprocess
 import sys
 
-(bench_json, bin_a, bin_b, rev_a, rev_b, pairs, seconds, seed,
- work) = sys.argv[1:10]
+(bench_json, bin_a, bin_b, rev_a, rev_b, pairs, seconds, seed, trace,
+ work) = sys.argv[1:11]
 with open(bench_json) as f:
     bench = json.load(f)
-workloads = sys.argv[10:] or [w["name"] for w in bench["workloads"]]
+workloads = sys.argv[11:] or [w["name"] for w in bench["workloads"]]
 pairs = int(pairs)
 seconds = float(seconds) if seconds else float(bench["run_seconds"])
-metrics = bench["end_to_end"]
+traced = trace == "1"
+metrics = bench["per_layer" if traced else "end_to_end"]
 RUN_TIMEOUT_S = 170  # as perfbench/run.py
 MIN_EFFECT = 0.01  # smallest relative median gain that can read "better"
 
 
 def run(binary, side, workload, index):
     cmd = [binary, "--workload", workload, "--seed", seed,
-           "--seconds", str(seconds), "--trace", "0",
+           "--seconds", str(seconds), "--trace", trace,
            "--out-dir", "%s/out-%s" % (work, side)]
     try:
         done = subprocess.run(cmd, capture_output=True, text=True,
@@ -168,11 +178,13 @@ for workload in workloads:
                                   workload, i))
         print("  %s pair %d/%d done" % (workload, i + 1, pairs),
               file=sys.stderr)
-    print("\n%s: A=%s B=%s, %d pairs, seed %s, %g s"
-          % (workload, rev_a, rev_b, pairs, seed, seconds))
-    print("%-18s %-10s %12s %12s %8s %8s %7s  %s"
-          % ("metric", "unit", "median A", "median B", "delta",
-             "IQR A", "B wins", "verdict"))
+    print("\n%s: A=%s B=%s, %d pairs, seed %s, %g s%s"
+          % (workload, rev_a, rev_b, pairs, seed, seconds,
+             ", traced (per-layer, report-only)" if traced else ""))
+    width = max(len(m["name"]) for m in metrics)
+    print("%-*s %-10s %12s %12s %8s %8s %7s  %s"
+          % (width, "metric", "unit", "median A", "median B", "delta",
+             "IQR A", "B wins", "" if traced else "verdict"))
     for m in metrics:
         name = m["name"]
         if not all(name in r["metrics"] for r in runs["A"] + runs["B"]):
@@ -187,7 +199,9 @@ for workload in workloads:
         iqr = (q3 - q1) / scale
         wins = sum(1 for x, y in zip(a, b) if sign * (y - x) > 0)
         all_beat = all(sign * (y - x) > 0 for x in a for y in b)
-        if sign * delta < -m["bound"]:
+        if traced:
+            verdict = ""
+        elif sign * delta < -m["bound"]:
             verdict = "worse"
             status = 1
         elif (wins >= math.ceil(0.9 * pairs) and sign * delta > iqr
@@ -197,9 +211,9 @@ for workload in workloads:
             verdict = "unresolved"
         else:
             verdict = "unchanged"
-        print("%-18s %-10s %12.6g %12.6g %+7.1f%% %7.1f%% %4d/%-2d  %s"
-              % (name, m["unit"], med_a, med_b, 100 * delta, 100 * iqr,
-                 wins, pairs, verdict))
+        print("%-*s %-10s %12.6g %12.6g %+7.1f%% %7.1f%% %4d/%-2d  %s"
+              % (width, name, m["unit"], med_a, med_b, 100 * delta,
+                 100 * iqr, wins, pairs, verdict))
     for side in ("A", "B"):
         attempted = sum(r["attempted"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])

@@ -229,24 +229,17 @@ void FrameServer::HandleMessage(Connection& conn,
           GetU64(payload.data() + 5 + key_len));
       const auto hi = static_cast<std::int64_t>(
           GetU64(payload.data() + 5 + key_len + 8));
-      // The per-connection handle cache: the first query for a key
-      // looks it up, every later one is registry-free. Lookups never
-      // create keys, so a peer cannot grow the registry, the handle
-      // cache, or the metric series by naming keys; an unknown key is
-      // answered 0.0 by the string path (counted in unknown_queries)
-      // and stays uncached, so a later frame creating it still resolves.
+      // Known keys read through a handle (lease and query counters as
+      // for any handle reader); Find is a reader-table hit on this loop
+      // thread once the key is warm. Lookups never create keys, so a peer
+      // cannot grow the registry or the metric series by naming keys: an
+      // unknown key is answered 0.0 by the string path (counted in
+      // unknown_queries), and a later frame creating it still resolves.
       engine::HistogramEngine& global = aggregator_.engine();
-      auto it = conn.handles.find(key);
-      if (it == conn.handles.end()) {
-        if (const engine::KeyHandle handle = global.Find(key);
-            handle.valid()) {
-          it = conn.handles.emplace(std::string(key), handle).first;
-          handles_cached_.fetch_add(1);
-        }
-      }
-      const double estimate =
-          it != conn.handles.end() ? global.EstimateRange(it->second, lo, hi)
-                                   : global.EstimateRange(key, lo, hi);
+      const engine::KeyHandle handle = global.Find(key);
+      const double estimate = handle.valid()
+                                  ? global.EstimateRange(handle, lo, hi)
+                                  : global.EstimateRange(key, lo, hi);
       std::string reply(1, wire::kReplyEstimate);
       little_endian::PutF64(&reply, estimate);
       net::AppendEnvelope(&conn.out, reply);

@@ -4,11 +4,12 @@
 // thread) accepting site and query connections on a TCP port. Each
 // connection carries length-prefixed protocol messages
 // (wire_protocol.h); requests are answered in order, so clients may
-// pipeline. Per-connection state is exactly the PR 8 design: a read
-// buffer, a pending-write buffer (nonblocking sockets mean a reply can
-// land in pieces — the EPOLLOUT machinery finishes it), and a cache of
-// resolved KeyHandles, so a connection's Nth query for a key performs
-// no registry lookup.
+// pipeline. Per-connection state is a read buffer and a pending-write
+// buffer only (nonblocking sockets mean a reply can land in pieces — the
+// EPOLLOUT machinery finishes it). Key resolution is not cached per
+// connection: a query resolves its key with HistogramEngine::Find, which
+// the loop thread's reader table answers without a registry lookup once
+// the key is warm, so a peer cannot grow server state by naming keys.
 //
 // Frames are applied synchronously in the loop before the ack is
 // queued: a site that has its ack knows its snapshot is merged and
@@ -69,10 +70,6 @@ class FrameServer {
   }
   std::uint64_t protocol_errors() const { return protocol_errors_.load(); }
 
-  /// KeyHandles cached across all connections' per-connection maps since
-  /// Start(): one per (connection, existing key) first queried.
-  std::uint64_t handles_cached() const { return handles_cached_.load(); }
-
   /// The full exposition a metrics scrape ('M') returns: the
   /// aggregator's instruments followed by the global-view engine's
   /// (disjoint metric families, so the concatenation is valid
@@ -87,7 +84,6 @@ class FrameServer {
     std::string out;          // queued replies, [out_pos, end) unsent
     std::size_t out_pos = 0;
     bool close_after_flush = false;  // protocol error: answer, then drop
-    std::map<std::string, engine::KeyHandle, std::less<>> handles;
   };
 
   void RunLoop();
@@ -118,7 +114,6 @@ class FrameServer {
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_active_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> handles_cached_{0};
 };
 
 }  // namespace dynhist::distributed

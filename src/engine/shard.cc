@@ -152,6 +152,19 @@ void EngineShard::ApplyLocked(const std::vector<UpdateOp>& batch) {
   }
 }
 
+namespace {
+
+// One coalesced group: `inserts`/`deletes` operations on `value`, first
+// seen at batch position `first`.
+struct Group {
+  std::int64_t value = 0;
+  std::uint32_t first = 0;
+  std::int64_t inserts = 0;
+  std::int64_t deletes = 0;
+};
+
+}  // namespace
+
 void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,
                                    std::size_t begin, std::size_t end) {
   // Collapse duplicate values into one weighted insert plus one weighted
@@ -162,35 +175,39 @@ void EngineShard::CoalesceAndApply(const std::vector<UpdateOp>& batch,
   // its deletes preserves the per-producer insert-before-delete ordering
   // the engine guarantees per value (cross-value order inside a batch is
   // not observable through the histogram's value-independent maintenance).
-  idx_scratch_.clear();
+  //
+  // The scratch is reused across batches, one per draining thread: a
+  // thread applies one batch at a time, and per-shard copies would pin a
+  // buffer pair on every shard of every key. Every call clears it.
+  thread_local std::vector<std::uint32_t> idx;
+  thread_local std::vector<Group> groups;
+  idx.clear();
   for (std::size_t i = begin; i < end; ++i) {
-    idx_scratch_.push_back(static_cast<std::uint32_t>(i));
+    idx.push_back(static_cast<std::uint32_t>(i));
   }
-  std::sort(idx_scratch_.begin(), idx_scratch_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (batch[a].value != batch[b].value) {
-                return batch[a].value < batch[b].value;
-              }
-              return a < b;
-            });
-  group_scratch_.clear();
+  std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (batch[a].value != batch[b].value) {
+      return batch[a].value < batch[b].value;
+    }
+    return a < b;
+  });
+  groups.clear();
   std::size_t i = 0;
-  while (i < idx_scratch_.size()) {
-    const std::int64_t value = batch[idx_scratch_[i]].value;
-    Group group{value, idx_scratch_[i], 0, 0};
-    for (; i < idx_scratch_.size() && batch[idx_scratch_[i]].value == value;
-         ++i) {
-      if (batch[idx_scratch_[i]].kind == UpdateOp::Kind::kInsert) {
+  while (i < idx.size()) {
+    const std::int64_t value = batch[idx[i]].value;
+    Group group{value, idx[i], 0, 0};
+    for (; i < idx.size() && batch[idx[i]].value == value; ++i) {
+      if (batch[idx[i]].kind == UpdateOp::Kind::kInsert) {
         ++group.inserts;
       } else {
         ++group.deletes;
       }
     }
-    group_scratch_.push_back(group);
+    groups.push_back(group);
   }
-  std::sort(group_scratch_.begin(), group_scratch_.end(),
+  std::sort(groups.begin(), groups.end(),
             [](const Group& a, const Group& b) { return a.first < b.first; });
-  for (const Group& g : group_scratch_) {
+  for (const Group& g : groups) {
     const std::int64_t run = g.inserts + g.deletes;
     if (run >= 2 && telemetry_.coalesce_run != nullptr) {
       telemetry_.coalesce_run->Record(static_cast<std::uint64_t>(run));

@@ -19,6 +19,9 @@
 // the writer no read-modify-write beyond the buffer lock it already
 // holds. The engine's inserts/deletes/feedbacks statistics are these
 // counts summed over a key's shards.
+//
+// A shard owns nothing else: the coalescing scratch belongs to the
+// draining thread, so an idle shard of a many-key engine holds none.
 
 #ifndef DYNHIST_ENGINE_SHARD_H_
 #define DYNHIST_ENGINE_SHARD_H_
@@ -116,8 +119,9 @@ class EngineShard {
 
   // Coalesces batch[begin, end) by value and applies the weighted groups
   // (inserts first per value, groups in first-occurrence order, via a
-  // sorted index scratch — the batch itself is not reordered), so the
-  // histogram pays one maintenance step per distinct value. Data ops only.
+  // sorted index scratch owned by the calling thread — the batch itself is
+  // not reordered), so the histogram pays one maintenance step per
+  // distinct value. Data ops only.
   void CoalesceAndApply(const std::vector<UpdateOp>& batch, std::size_t begin,
                         std::size_t end);
 
@@ -133,18 +137,6 @@ class EngineShard {
 
   std::mutex hist_mu_;
   std::unique_ptr<Histogram> histogram_;   // guarded by hist_mu_
-
-  // One coalesced group: `inserts`/`deletes` operations on `value`, first
-  // seen at batch position `first`.
-  struct Group {
-    std::int64_t value = 0;
-    std::uint32_t first = 0;
-    std::int64_t inserts = 0;
-    std::int64_t deletes = 0;
-  };
-  // Coalescing scratch, reused across batches (guarded by hist_mu_).
-  std::vector<std::uint32_t> idx_scratch_;
-  std::vector<Group> group_scratch_;
 };
 
 }  // namespace dynhist::engine

@@ -345,7 +345,7 @@ TEST_F(LoopbackTest, SecondClientSharesTheGlobalView) {
 }
 
 // Query messages name keys off the network: an unknown key must answer
-// 0.0 without creating a key, a cached handle, or per-key metric series
+// 0.0 without creating a key or per-key metric series
 // (a peer must not be able to grow the server by naming keys). A key a
 // later frame creates then resolves normally.
 TEST_F(LoopbackTest, UnknownKeyQueriesCreateNothing) {
@@ -369,7 +369,6 @@ TEST_F(LoopbackTest, UnknownKeyQueriesCreateNothing) {
   EXPECT_EQ(global.Stats().keys, keys_before);
   EXPECT_EQ(global.Stats().unknown_queries,
             static_cast<std::uint64_t>(kJunk));
-  EXPECT_EQ(server_.handles_cached(), 0u);
   EXPECT_EQ(lines(after), lines(before));  // no new series
 
   FrameHeader header;
@@ -386,7 +385,49 @@ TEST_F(LoopbackTest, UnknownKeyQueriesCreateNothing) {
   double estimate = 0.0;
   ASSERT_TRUE(client_.Query("junk.7", 0, 9, &estimate));
   EXPECT_EQ(estimate, 30.0);
-  EXPECT_EQ(server_.handles_cached(), 1u);
+}
+
+// Remote queries for a known key take the handle path whichever
+// connection sends them: every answer equals the in-process arena, and
+// each query counts exactly one lease revalidation on that key.
+TEST_F(LoopbackTest, KnownKeyQueriesFromTwoConnectionsReadThroughHandles) {
+  FrameHeader header;
+  header.site_id = 1;
+  header.key = "known.key";
+  header.epoch = 1;
+  header.watermark = 1;
+  Aggregator::IngestResult result = Aggregator::IngestResult::kRejected;
+  ASSERT_TRUE(client_.ShipFrame(
+      EncodeFrame(header, HistogramModel::FromSimpleBuckets(
+                              {{0.0, 10.0, 30.0}, {10.0, 40.0, 90.0}})),
+      &result));
+  ASSERT_EQ(result, Aggregator::IngestResult::kApplied);
+
+  const engine::HistogramEngine& global = server_.aggregator().engine();
+  const engine::EngineSnapshot published = global.Snapshot("known.key");
+  const auto leases = [&] {
+    const engine::EngineStats stats = global.Stats("known.key");
+    return stats.lease_hits + stats.lease_misses;
+  };
+  const std::uint64_t leases_before = leases();
+
+  FrameClient other;
+  std::string error;
+  ASSERT_TRUE(other.Connect("127.0.0.1", server_.port(), &error)) << error;
+  constexpr int kQueriesPerConnection = 25;
+  for (int q = 0; q < kQueriesPerConnection; ++q) {
+    for (FrameClient* conn : {&client_, &other}) {
+      const std::int64_t lo = q;
+      const std::int64_t hi = lo + (conn == &other ? 6 : 3);
+      double estimate = -1.0;
+      ASSERT_TRUE(conn->Query("known.key", lo, hi, &estimate));
+      EXPECT_EQ(estimate, published.EstimateRange(lo, hi))
+          << "[" << lo << ", " << hi << "]";
+    }
+  }
+  EXPECT_EQ(leases() - leases_before,
+            static_cast<std::uint64_t>(2 * kQueriesPerConnection));
+  EXPECT_EQ(global.Stats().unknown_queries, 0u);
 }
 
 // Four site connections ship frames while another thread scrapes the

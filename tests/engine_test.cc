@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -213,6 +214,114 @@ TEST(HistogramEngineTest, DynamicCompressedShardsDrainConcurrently) {
   constexpr double kTotal = kWriters * kPerWriter;
   EXPECT_DOUBLE_EQ(engine.LiveTotalCount(kKey), kTotal);
   EXPECT_NEAR(engine.RefreshSnapshot(kKey).TotalCount(), kTotal, 1.0);
+}
+
+// One shard fed by the interleaved-drain tests: its options and its
+// whole op stream of kDrainOps ops.
+constexpr std::size_t kDrainOps = 3'000;
+struct DrainCase {
+  EngineOptions options;
+  std::vector<UpdateOp> ops;
+};
+
+// Three batch-size-8 shards (DADO, DC, ST-feedback) with seeded streams:
+// Zipf inserts, deletes of the shard's own live values, and on the
+// ST-feedback shard range feedback between them.
+std::vector<DrainCase> InterleavedDrainCases(std::uint64_t seed) {
+  std::vector<DrainCase> cases;
+  for (const ShardHistogramKind kind :
+       {ShardHistogramKind::kDynamicAdo, ShardHistogramKind::kDynamicCompressed,
+        ShardHistogramKind::kStFeedback}) {
+    DrainCase c;
+    c.options = TestOptions();
+    c.options.kind = kind;
+    c.options.batch_size = 8;
+    Rng rng(seed * 31 + cases.size());
+    const ZipfDistribution zipf(static_cast<std::size_t>(kDomain), 1.0);
+    std::vector<std::int64_t> live;
+    for (std::size_t i = 0; i < kDrainOps; ++i) {
+      if (kind == ShardHistogramKind::kStFeedback && rng.Bernoulli(0.15)) {
+        const std::int64_t lo = rng.UniformInt(0, kDomain - 50);
+        c.ops.push_back(UpdateOp::Feedback(
+            lo, lo + rng.UniformInt(0, 49),
+            static_cast<double>(rng.UniformInt(0, 200))));
+      } else if (!live.empty() && rng.Bernoulli(0.25)) {
+        const auto pick = static_cast<std::size_t>(
+            rng.UniformInt(static_cast<std::uint64_t>(live.size())));
+        c.ops.push_back(UpdateOp::Delete(live[pick]));
+        live[pick] = live.back();
+        live.pop_back();
+      } else {
+        live.push_back(static_cast<std::int64_t>(zipf.Sample(rng)));
+        c.ops.push_back(UpdateOp::Insert(live.back()));
+      }
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+// Pushes one op to each shard in turn, so the calling thread's drains
+// alternate between shards; returns each shard's exported model.
+std::vector<HistogramModel> DriveInterleaved(
+    const std::vector<DrainCase>& cases) {
+  std::vector<std::unique_ptr<EngineShard>> shards;
+  for (const DrainCase& c : cases) {
+    shards.push_back(std::make_unique<EngineShard>(c.options));
+  }
+  for (std::size_t i = 0; i < kDrainOps; ++i) {
+    for (std::size_t s = 0; s < cases.size(); ++s) {
+      shards[s]->Push(cases[s].ops[i]);
+    }
+  }
+  std::vector<HistogramModel> models;
+  for (const auto& shard : shards) models.push_back(shard->ExportModel());
+  return models;
+}
+
+HistogramModel DriveAlone(const DrainCase& c) {
+  EngineShard shard(c.options);
+  for (const UpdateOp& op : c.ops) shard.Push(op);
+  return shard.ExportModel();
+}
+
+// The coalescing scratch belongs to the draining thread, not the shard:
+// a drain must not see what the thread's previous drain, on another
+// shard, left in it. Each interleaved shard must end bit-identical to a
+// shard fed only its own ops.
+TEST(HistogramEngineTest, InterleavedShardDrainsMatchLoneShards) {
+  const std::vector<DrainCase> cases = InterleavedDrainCases(1);
+  const std::vector<HistogramModel> got = DriveInterleaved(cases);
+  for (std::size_t s = 0; s < cases.size(); ++s) {
+    EXPECT_TRUE(testing::ModelsBitIdentical(got[s], DriveAlone(cases[s])))
+        << "shard " << s;
+  }
+}
+
+// The same, with four threads each interleaving their own three shards
+// at once (TSan runs this suite: the scratch must be per thread).
+TEST(HistogramEngineTest, InterleavedShardDrainsMatchLoneShardsOnFourThreads) {
+  constexpr int kThreads = 4;
+  std::vector<std::vector<DrainCase>> cases;
+  for (int t = 0; t < kThreads; ++t) {
+    cases.push_back(InterleavedDrainCases(static_cast<std::uint64_t>(t) + 2));
+  }
+  std::vector<std::vector<HistogramModel>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[static_cast<std::size_t>(t)] =
+          DriveInterleaved(cases[static_cast<std::size_t>(t)]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < cases.size(); ++t) {
+    for (std::size_t s = 0; s < cases[t].size(); ++s) {
+      EXPECT_TRUE(
+          testing::ModelsBitIdentical(got[t][s], DriveAlone(cases[t][s])))
+          << "thread " << t << " shard " << s;
+    }
+  }
 }
 
 TEST(HistogramEngineTest, MultipleKeysAreIndependent) {
